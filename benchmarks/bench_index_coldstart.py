@@ -7,7 +7,8 @@ engine open; a valid persisted image is adopted after O(#columns) stamp
 probes instead.  This benchmark measures both paths on the same world at
 ~10x and ~100x the figure-dataset size, then checks that the lazy
 page-cached index does not regress steady-state Stage-1/Stage-2 latency
-(``Nebula.analyze``) against the in-memory build.
+(``generate_queries`` + ``identify_related_tuples``) against a search
+engine over the in-memory build.
 
 Exports the machine-readable summary CI tracks to
 ``benchmarks/results/BENCH_index.json``.  Set ``BENCH_SMOKE=1`` for the
@@ -27,11 +28,15 @@ import time
 
 from repro import (
     BioDatabaseSpec,
+    KeywordSearchEngine,
     Nebula,
     NebulaConfig,
     generate_bio_database,
     get_backend,
 )
+from repro.core.execution import identify_related_tuples
+from repro.core.query_generation import generate_queries
+from repro.perf import AnalysisCache
 
 from conftest import RESULTS_DIR, report, table
 
@@ -64,16 +69,21 @@ def _build_world(factor):
     return backend, path, db
 
 
-def _analyze_ms(nebula, db):
-    """Mean Stage-1 + Stage-2 latency over PROBES analyze() passes."""
+def _stage12_ms(engine, db, config):
+    """Mean Stage-1 + Stage-2 latency of ``engine`` over PROBES texts."""
     texts = [
         f"this gene interacts with gene {db.genes[(7 * i) % len(db.genes)].gid}"
         for i in range(PROBES)
     ]
-    nebula.analyze(texts[0])  # warm the analysis cache's cold misses
+
+    def analyze(text):
+        generation = generate_queries(text, db.meta, config)
+        identify_related_tuples(generation.queries, engine)
+
+    analyze(texts[0])  # warm the analysis cache's cold misses
     started = time.perf_counter()
     for text in texts:
-        nebula.analyze(text)
+        analyze(text)
     return (time.perf_counter() - started) * 1e3 / PROBES
 
 
@@ -86,24 +96,26 @@ def _measure_scale(factor):
         cold = Nebula(db.connection, db.meta, config, aliases=db.aliases)
         assert cold.index_source == "rebuilt"
         rebuild_seconds = cold.index_cold_start_seconds
-        description = cold.engine.index.describe()
+        description = cold.index.describe()
         cold.close()
         # Second open: the stamps match, so the image is adopted after
         # O(#columns) probes without reading a single posting.
         warm = Nebula(db.connection, db.meta, config, aliases=db.aliases)
         assert warm.index_source == "loaded"
         loaded_seconds = warm.index_cold_start_seconds
-        persistent_ms = _analyze_ms(warm, db)
-        warm.close()
-        memory = Nebula(
+        persistent_ms = _stage12_ms(warm.engine, db, config)
+        # The reference: the same search engine over the in-memory index
+        # rebuilt from the data, with an analysis cache of its own.
+        memory = KeywordSearchEngine(
             db.connection,
-            db.meta,
-            config.with_updates(persist_index=False),
+            searchable_columns=warm.searchable_columns(),
             aliases=db.aliases,
+            lexicon=db.meta.lexicon,
+            analysis_cache=AnalysisCache(config.analysis_cache_size),
+            index=None,
         )
-        assert memory.index_source == "memory"
-        memory_ms = _analyze_ms(memory, db)
-        memory.close()
+        memory_ms = _stage12_ms(memory, db, config)
+        warm.close()
         return {
             "factor": factor,
             "genes": len(db.genes),

@@ -90,7 +90,7 @@ from .service import (
     Submission,
     serve,
 )
-from .perf import AnalysisCache, AnnotationRequest, ParallelSqlExecutor
+from .perf import AnalysisCache, AnnotationRequest
 from .types import CellRef, ScoredTuple, TupleRef
 from .annotations import (
     AnnotationManager,
@@ -228,7 +228,6 @@ __all__ = [
     # performance layer
     "AnalysisCache",
     "AnnotationRequest",
-    "ParallelSqlExecutor",
     # shared types
     "TupleRef",
     "CellRef",

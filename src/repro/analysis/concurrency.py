@@ -430,9 +430,8 @@ def check_thread_affinity(
                     f"{how} — sqlite handles are thread-affine"
                 ),
                 fix_hint=(
-                    "open the connection inside the worker (per-thread "
-                    "handles, as ParallelSqlExecutor does) instead of "
-                    "capturing the caller's handle"
+                    "open the connection inside the worker (one handle "
+                    "per thread) instead of capturing the caller's handle"
                 ),
                 snippet=ctx.snippet(call.lineno),
                 details={

@@ -6,7 +6,7 @@ Usage (after ``pip install -e .``)::
     python -m repro stats --db curated.db
     python -m repro annotate --db curated.db --text "gene JW0014 matters" \\
         --attach Gene:3 --trace
-    python -m repro annotate-batch --db curated.db --file notes.txt --workers 4
+    python -m repro annotate-batch --db curated.db --file notes.txt
     python -m repro trace --db curated.db --last 2
     python -m repro pending --db curated.db
     python -m repro verify --db curated.db --task 7
@@ -119,7 +119,6 @@ def _open_engine(
     path: str,
     epsilon: float,
     trace: bool = False,
-    workers: int = 0,
     persist_metrics: bool = False,
 ) -> Nebula:
     # The CLI always operates on a database file, so the engine choice is
@@ -130,7 +129,6 @@ def _open_engine(
         epsilon=epsilon,
         tracing=trace,
         trace_path=_trace_path(path) if trace else None,
-        executor_workers=workers,
     )
     backend = get_backend(
         config.storage_backend,
@@ -314,7 +312,7 @@ def cmd_annotate_batch(args: argparse.Namespace) -> int:
     if not requests:
         print(f"no annotations in {args.file}", file=sys.stderr)
         return 2
-    nebula = _open_engine(args.db, args.epsilon, workers=args.workers)
+    nebula = _open_engine(args.db, args.epsilon)
     try:
         started = time.perf_counter()
         reports = nebula.insert_annotations(requests)
@@ -338,8 +336,6 @@ def cmd_annotate_batch(args: argparse.Namespace) -> int:
                 f"{stats.total_sql} statements executed "
                 f"(hit ratio {stats.hit_ratio:.2f})"
             )
-        if nebula.parallel is not None:
-            print(f"parallel Stage-2: {args.workers} workers")
         if args.verbose:
             for report in reports:
                 print(
@@ -680,17 +676,11 @@ def cmd_index(args: argparse.Namespace) -> int:
     """
     import time
 
-    from .search import InvertedValueIndex, PersistentValueIndex
+    from .search import InvertedValueIndex
 
     nebula = _open_engine(args.db, args.epsilon)
     try:
-        index = nebula.engine.index
-        if not isinstance(index, PersistentValueIndex):
-            print(
-                "persistent index disabled (persist_index=False)",
-                file=sys.stderr,
-            )
-            return 2
+        index = nebula.index
         if args.action == "build":
             started = time.perf_counter()
             index.rebuild(nebula.searchable_columns())
@@ -951,11 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     annotate_batch.add_argument("--author", help="author recorded for every line")
     annotate_batch.add_argument("--epsilon", type=float, default=0.6)
-    annotate_batch.add_argument(
-        "--workers", type=int, default=0,
-        help="parallel Stage-2 worker threads (0 = sequential; needs a "
-        "file-backed database)",
-    )
     annotate_batch.add_argument(
         "--verbose", action="store_true", help="also print one line per annotation"
     )

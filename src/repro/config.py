@@ -71,18 +71,8 @@ class NebulaConfig:
     target_recall: float = 0.90
     #: Enable the ACG focal-based confidence adjustment (§6.2).
     focal_adjustment: bool = True
-    #: Focal reward mode: ``"direct"`` (the paper's choice) or ``"path"``
-    #: (the multi-hop extension the paper rejects — kept for ablations).
-    focal_mode: str = "direct"
-    #: Hop bound of the ``"path"`` focal mode.
-    focal_max_hops: int = 4
     #: Enable shared execution of the generated SQL queries (§6, Fig. 13).
     shared_execution: bool = False
-    #: Worker threads for parallel Stage-2 statement execution; 0 or 1
-    #: keeps the sequential path.  Only effective when the storage backend
-    #: can hand out concurrent reader connections (file-backed databases
-    #: and the shared-cache memory backend).
-    executor_workers: int = 0
     #: Name of the storage backend to construct when the engine opens its
     #: own database (see :mod:`repro.storage.registry`): ``"sqlite-file"``
     #: or ``"sqlite-memory"``, plus anything registered at runtime.
@@ -101,13 +91,6 @@ class NebulaConfig:
     busy_timeout: float = 5.0
     #: LRU capacity of the keyword-analysis memo cache; 0 disables it.
     analysis_cache_size: int = 2048
-    #: Persist the inverted value index + hop profile as backend tables
-    #: (``_nebula_index_postings`` / ``_nebula_index_stats`` /
-    #: ``_nebula_hop_profile``): engine open adopts a valid persisted
-    #: image instead of rebuilding, and ingestion maintains it
-    #: incrementally inside the data transaction.  Off -> the historical
-    #: in-memory rebuild-per-open.
-    persist_index: bool = True
     #: LRU capacity (in tokens) of the persistent index's posting-page
     #: cache; 0 reads every page from the backend (uncached).
     index_page_cache_size: int = 4096
@@ -162,11 +145,6 @@ class NebulaConfig:
         _require(self.spreading_hops >= 1, "spreading_hops must be >= 1")
         _require(0.0 < self.target_recall <= 1.0, "target_recall must be in (0, 1]")
         _require(self.max_query_keywords >= 2, "max_query_keywords must be >= 2")
-        _require(
-            self.focal_mode in ("direct", "path"),
-            "focal_mode must be 'direct' or 'path'",
-        )
-        _require(self.focal_max_hops >= 1, "focal_max_hops must be >= 1")
         _require(self.retry_max_attempts >= 1, "retry_max_attempts must be >= 1")
         _require(
             0.0 <= self.retry_base_delay <= self.retry_max_delay,
@@ -177,7 +155,6 @@ class NebulaConfig:
             self.metrics_port is None or 0 <= self.metrics_port <= 65535,
             "metrics_port must be None or in [0, 65535]",
         )
-        _require(self.executor_workers >= 0, "executor_workers must be >= 0")
         _require(self.analysis_cache_size >= 0, "analysis_cache_size must be >= 0")
         _require(
             self.index_page_cache_size >= 0, "index_page_cache_size must be >= 0"

@@ -30,7 +30,7 @@ from .acg import (
     StabilityTracker,
 )
 from .execution import IdentifiedTuples, identify_related_tuples
-from .focal import apply_focal_adjustment, focal_reward_factor, path_reward_factor
+from .focal import apply_focal_adjustment, focal_reward_factor
 from .spam import SpamGuard, SpamVerdict
 from .explain import TaskExplanation, explain_task
 from .shared_execution import SharedExecutor
@@ -61,7 +61,6 @@ __all__ = [
     "identify_related_tuples",
     "apply_focal_adjustment",
     "focal_reward_factor",
-    "path_reward_factor",
     "SpamGuard",
     "SpamVerdict",
     "TaskExplanation",

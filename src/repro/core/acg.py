@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..annotations.engine import AnnotationManager
 from ..storage.compat import Connection
@@ -174,36 +174,6 @@ class AnnotationsConnectivityGraph:
         if include_seeds:
             return frozenset(visited)
         return frozenset(v for v, d in visited.items() if d > 0)
-
-    def best_path_weight(self, source: TupleRef, target: TupleRef, max_hops: int) -> float:
-        """Maximum edge-weight *product* over paths of at most ``max_hops``.
-
-        This is the quantity the paper's multi-hop extension of the focal
-        adjustment rewards by ("multiplying the weights of the in-between
-        edges").  Computed by bounded dynamic programming: ``best[v]`` is
-        the best product reaching ``v`` within ``h`` hops.  Returns 0.0
-        when no path of that length exists.
-        """
-        if source == target:
-            return 1.0
-        if source not in self._annotations_of or target not in self._annotations_of:
-            return 0.0
-        best: Dict[TupleRef, float] = {source: 1.0}
-        for _ in range(max(0, max_hops)):
-            frontier: Dict[TupleRef, float] = {}
-            for node, product in best.items():
-                for neighbor in self._adjacency.get(node, ()):
-                    candidate = product * self.weight(node, neighbor)
-                    if candidate > best.get(neighbor, 0.0) and candidate > frontier.get(
-                        neighbor, 0.0
-                    ):
-                        frontier[neighbor] = candidate
-            if not frontier:
-                break
-            for node, product in frontier.items():
-                if product > best.get(node, 0.0):
-                    best[node] = product
-        return best.get(target, 0.0)
 
     def shortest_hops(self, ref: TupleRef, seeds: Iterable[TupleRef]) -> int:
         """Shortest unweighted hop count from ``ref`` to any seed.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .shared_execution import SharedExecutor
@@ -61,8 +61,6 @@ def identify_related_tuples(
     acg: Optional[AnnotationsConnectivityGraph] = None,
     focal: Sequence[TupleRef] = (),
     executor: Optional["SharedExecutor"] = None,
-    focal_mode: str = "direct",
-    focal_max_hops: int = 4,
     precomputed: Optional[Dict[str, SearchResult]] = None,
 ) -> IdentifiedTuples:
     """Run the full IdentifyRelatedTuples() algorithm.
@@ -97,9 +95,7 @@ def identify_related_tuples(
 
     # Focal-based adjustment (the §6.2 extension, after grouping).
     if acg is not None and focal:
-        grouped = apply_focal_adjustment(
-            grouped, acg, focal, mode=focal_mode, max_hops=focal_max_hops
-        )
+        grouped = apply_focal_adjustment(grouped, acg, focal)
 
     # Step 3: normalize relative to the largest confidence.
     tuples = _normalize(grouped, provenance)

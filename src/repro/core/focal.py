@@ -21,7 +21,7 @@ overfitting".
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence
 
 from ..types import TupleRef
 from .acg import AnnotationsConnectivityGraph
@@ -41,48 +41,14 @@ def focal_reward_factor(
     return factor
 
 
-def path_reward_factor(
-    ref: TupleRef,
-    acg: AnnotationsConnectivityGraph,
-    focal: Sequence[TupleRef],
-    max_hops: int = 4,
-) -> float:
-    """The paper's multi-hop extension: reward along the best path.
-
-    Each focal tuple contributes ``1 + best_path_weight(ref, f)`` where
-    the path weight is the product of the in-between edge weights over at
-    most ``max_hops`` hops.  Equals :func:`focal_reward_factor` when every
-    focal is a direct neighbor.  The paper deliberately ships the direct
-    variant ("semantically weaker and may cause model overfitting"); this
-    implementation exists for the ablation that demonstrates that call.
-    """
-    factor = 1.0
-    for focal_tuple in focal:
-        if focal_tuple == ref:
-            continue
-        factor *= 1.0 + acg.best_path_weight(ref, focal_tuple, max_hops)
-    return factor
-
-
 def apply_focal_adjustment(
     confidences: Dict[TupleRef, float],
     acg: AnnotationsConnectivityGraph,
     focal: Sequence[TupleRef],
-    mode: str = "direct",
-    max_hops: int = 4,
 ) -> Dict[TupleRef, float]:
-    """Return adjusted confidences (input mapping is not mutated).
-
-    ``mode`` selects the paper's shipped direct-edge reward (``"direct"``)
-    or the multi-hop path extension (``"path"``).
-    """
+    """Return adjusted confidences (input mapping is not mutated)."""
     if not focal:
         return dict(confidences)
-    if mode == "path":
-        return {
-            ref: conf * path_reward_factor(ref, acg, focal, max_hops)
-            for ref, conf in confidences.items()
-        }
     return {
         ref: conf * focal_reward_factor(ref, acg, focal)
         for ref, conf in confidences.items()

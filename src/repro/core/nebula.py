@@ -39,13 +39,7 @@ from ..observability import (
     Tracer,
     get_metrics,
 )
-from ..perf import (
-    AnalysisCache,
-    AnnotationRequest,
-    ParallelSqlExecutor,
-    RequestLike,
-    coerce_request,
-)
+from ..perf import AnalysisCache, AnnotationRequest, RequestLike, coerce_request
 from ..perf.cache import MISS
 from ..resilience import (
     EXECUTOR_FALLBACK,
@@ -64,12 +58,7 @@ from ..storage.backends import StorageBackend, as_backend
 from ..storage.compat import Connection
 from ..types import CellRef, ScoredTuple, TupleRef
 from ..versioning import CommitLog
-from .acg import (
-    AnnotationsConnectivityGraph,
-    HopProfile,
-    PersistentHopProfile,
-    StabilityTracker,
-)
+from .acg import AnnotationsConnectivityGraph, PersistentHopProfile, StabilityTracker
 from .execution import IdentifiedTuples, identify_related_tuples
 from .query_generation import QueryGenerationResult, generate_queries
 from .shared_execution import SharedExecutor
@@ -202,28 +191,23 @@ class Nebula:
             self.config.analysis_cache_size, metrics=self.metrics
         )
         #: Cold-start accounting of the search index: how long the open
-        #: took and whether a persisted image was adopted ("loaded"),
-        #: rebuilt + persisted ("rebuilt"), or built in memory ("memory").
-        self.index_cold_start_seconds = 0.0
-        self.index_source = "memory"
-        persisted_index: Optional[PersistentValueIndex] = None
-        if self.config.persist_index:
-            index_started = time.perf_counter()
-            persisted_index, self.index_source = PersistentValueIndex.open(
-                connection,
-                self._searchable_columns(),
-                page_cache_size=self.config.index_page_cache_size,
-                metrics=self.metrics,
-                tracer=self.tracer,
-            )
-            self.index_cold_start_seconds = time.perf_counter() - index_started
-            self.metrics.counter(
-                "nebula_index_opens_total", {"source": self.index_source}
-            ).inc()
-            self.metrics.gauge("nebula_index_cold_start_seconds").set(
-                self.index_cold_start_seconds
-            )
-        engine_started = time.perf_counter()
+        #: took and whether a persisted image was adopted ("loaded") or
+        #: rebuilt + persisted ("rebuilt").
+        index_started = time.perf_counter()
+        self.index, self.index_source = PersistentValueIndex.open(
+            connection,
+            self._searchable_columns(),
+            page_cache_size=self.config.index_page_cache_size,
+            metrics=self.metrics,
+            tracer=self.tracer,
+        )
+        self.index_cold_start_seconds = time.perf_counter() - index_started
+        self.metrics.counter(
+            "nebula_index_opens_total", {"source": self.index_source}
+        ).inc()
+        self.metrics.gauge("nebula_index_cold_start_seconds").set(
+            self.index_cold_start_seconds
+        )
         self.engine = KeywordSearchEngine(
             connection,
             searchable_columns=self._searchable_columns(),
@@ -232,45 +216,20 @@ class Nebula:
             retry=self.retry,
             metrics=self.metrics,
             analysis_cache=self.analysis_cache,
-            index=persisted_index,
+            index=self.index,
         )
-        if persisted_index is None:
-            # The in-memory index was rebuilt inside the engine
-            # constructor; account it as this open's cold-start cost.
-            self.index_cold_start_seconds = time.perf_counter() - engine_started
-            self.metrics.gauge("nebula_index_cold_start_seconds").set(
-                self.index_cold_start_seconds
-            )
         self.acg = (
             AnnotationsConnectivityGraph.build_from_manager(self.manager)
             if build_acg
             else AnnotationsConnectivityGraph()
         )
-        self.profile: HopProfile = (
-            PersistentHopProfile(connection)
-            if self.config.persist_index
-            else HopProfile()
-        )
+        self.profile = PersistentHopProfile(connection)
         self.stability = StabilityTracker(
             batch_size=self.config.batch_size, mu=self.config.stability_mu
         )
         self.queue = VerificationQueue(self.manager, acg=self.acg, profile=self.profile)
         self.commands = CommandProcessor(self.manager, resolver=self.queue)
-        #: Parallel Stage-2 worker pool; stays None when the config asks
-        #: for <= 1 worker or the backend cannot hand out concurrent
-        #: reader connections (a private in-memory database).
-        self.parallel: Optional[ParallelSqlExecutor] = None
-        if self.config.executor_workers > 1:
-            candidate = ParallelSqlExecutor(
-                self.backend, self.config.executor_workers, retry=self.retry
-            )
-            if candidate.available:
-                self.parallel = candidate
-            else:
-                candidate.close()
-        self.executor = SharedExecutor(
-            self.engine, parallel=self.parallel, dialect=self.dialect
-        )
+        self.executor = SharedExecutor(self.engine, dialect=self.dialect)
         self.spam_guard = SpamGuard()
         self._searchable_tuple_count = count_searchable_tuples(
             connection, [table for table, _ in self._searchable_columns()]
@@ -281,15 +240,11 @@ class Nebula:
 
         Returns True when the image was stale (rows loaded behind the
         index's back, deletions, a changed searchable-column set) and a
-        rebuild was persisted and committed.  A no-op for in-memory
-        indexes.  The service's startup recovery calls this before
-        accepting traffic so a recovered process cannot serve search
-        results from a stale index.
+        rebuild was persisted and committed.  The service's startup
+        recovery calls this before accepting traffic so a recovered
+        process cannot serve search results from a stale index.
         """
-        index = self.engine.index
-        if not isinstance(index, PersistentValueIndex):
-            return False
-        rebuilt = index.refresh(self._searchable_columns())
+        rebuilt = self.index.refresh(self._searchable_columns())
         if rebuilt:
             self.index_source = "rebuilt"
             self.metrics.counter("nebula_index_refreshes_total").inc()
@@ -433,8 +388,6 @@ class Nebula:
                     acg=acg if self.config.focal_adjustment else None,
                     focal=focal,
                     executor=executor,
-                    focal_mode=self.config.focal_mode,
-                    focal_max_hops=self.config.focal_max_hops,
                 )
 
             try:
@@ -941,27 +894,15 @@ class Nebula:
         else:
             assert generation is not None
             degradations = list(generation.degradations)
-            if shared_failed or per_query is None:
-                if shared_failed:
-                    degradations.append(EXECUTOR_FALLBACK)
-                identified = identify_related_tuples(
-                    generation.queries,
-                    self.engine,
-                    acg=self.acg if self.config.focal_adjustment else None,
-                    focal=focal,
-                    focal_mode=self.config.focal_mode,
-                    focal_max_hops=self.config.focal_max_hops,
-                )
-            else:
-                identified = identify_related_tuples(
-                    generation.queries,
-                    self.engine,
-                    acg=self.acg if self.config.focal_adjustment else None,
-                    focal=focal,
-                    focal_mode=self.config.focal_mode,
-                    focal_max_hops=self.config.focal_max_hops,
-                    precomputed=per_query,
-                )
+            if shared_failed:
+                degradations.append(EXECUTOR_FALLBACK)
+            identified = identify_related_tuples(
+                generation.queries,
+                self.engine,
+                acg=self.acg if self.config.focal_adjustment else None,
+                focal=focal,
+                precomputed=None if shared_failed else per_query,
+            )
             report = DiscoveryReport(
                 text=request.text,
                 focal=focal,
@@ -1019,13 +960,11 @@ class Nebula:
         self.profile.unreachable = unreachable
 
     def close(self) -> None:
-        """Release the parallel Stage-2 worker pool, plus the internally
-        created compatibility adapter when the engine was constructed from
-        a raw connection (the caller's connection itself stays open — the
-        historical ownership contract).  A backend passed in explicitly is
-        left to its creator."""
-        if self.parallel is not None:
-            self.parallel.close()
+        """Release the internally created compatibility adapter when the
+        engine was constructed from a raw connection (the caller's
+        connection itself stays open — the historical ownership
+        contract).  A backend passed in explicitly is left to its
+        creator."""
         if self._owns_backend:
             self.backend.close()
 

@@ -21,13 +21,6 @@ group's results are assembled from the pooled answers — so ten
 annotations mentioning the same gene probe the database once, not ten
 times (the sustained-ingestion regime behind the paper's scaling
 claims, where Figure 13's per-annotation savings compound).
-
-When a :class:`~repro.perf.parallel.ParallelSqlExecutor` is attached and
-usable (file-backed database, no scope restriction), the planned
-statements run concurrently on read-only worker connections; any failure
-falls back to sequential execution on the main connection.  Parallelism
-never changes answers: the plan is fixed before execution and results are
-consumed in plan order.
 """
 
 from __future__ import annotations
@@ -36,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..observability.metrics import get_metrics
-from ..perf.parallel import ParallelSqlExecutor
 from ..search.engine import KeywordQuery, KeywordSearchEngine, SearchResult, SearchScope
 from ..search.sqlgen import GeneratedSQL
 from ..storage.dialect import SQLITE_DIALECT, Dialect
@@ -50,7 +42,6 @@ class SharedExecutionStats:
     total_sql: int = 0
     executed_statements: int = 0
     batched_statements: int = 0
-    parallel_statements: int = 0
 
     @property
     def saved_statements(self) -> int:
@@ -68,11 +59,9 @@ class SharedExecutor:
     def __init__(
         self,
         engine: KeywordSearchEngine,
-        parallel: Optional[ParallelSqlExecutor] = None,
         dialect: Dialect = SQLITE_DIALECT,
     ) -> None:
         self.engine = engine
-        self.parallel = parallel
         self.dialect = dialect
         self.last_stats = SharedExecutionStats()
 
@@ -177,8 +166,10 @@ class SharedExecutor:
             batch_plan.append((members, len(chunked)))
             statements.extend(chunked)
 
-        # Execute the fixed plan (parallel when possible), then distribute.
-        rows_per_statement = self._run_statements(statements, scope, stats)
+        # Execute the fixed plan, then distribute.
+        rows_per_statement = [
+            self.engine.execute_rows(sql, params) for sql, params in statements
+        ]
 
         cache: Dict[Tuple, List[int]] = {}
         for position, sql_query in enumerate(direct):
@@ -212,47 +203,8 @@ class SharedExecutor:
             stats.batched_statements
         )
         metrics.counter("nebula_shared_sql_saved_total").inc(stats.saved_statements)
-        metrics.counter("nebula_shared_sql_parallel_total").inc(
-            stats.parallel_statements
-        )
         metrics.gauge("nebula_shared_hit_ratio").set(stats.hit_ratio)
         return cache
-
-    def _run_statements(
-        self,
-        statements: Sequence[Tuple[str, Sequence[str]]],
-        scope: Optional[SearchScope],
-        stats: SharedExecutionStats,
-    ) -> List[List[Tuple]]:
-        """Rows per planned statement, in plan order.
-
-        The parallel path requires ``scope is None``: a scope means the
-        statements reference uncommitted mini-database tables (or inline
-        rowid filters over them) that the read-only worker connections
-        cannot see.  Any parallel failure falls back to sequential
-        execution on the main connection — answers are unaffected either
-        way, only timing.
-        """
-        use_parallel = (
-            self.parallel is not None
-            and self.parallel.available
-            and scope is None
-            and len(statements) >= 2
-        )
-        if use_parallel:
-            assert self.parallel is not None
-            try:
-                outcomes = self.parallel.run(statements)
-            except Exception:
-                get_metrics().counter("nebula_parallel_fallbacks_total").inc()
-            else:
-                # Profiling and metric handles are not thread-safe, so
-                # worker timings are recorded here on the main thread.
-                for (sql, _params), (rows, elapsed) in zip(statements, outcomes):
-                    self.engine.record_execution(sql, elapsed, len(rows))
-                stats.parallel_statements = len(statements)
-                return [rows for rows, _elapsed in outcomes]
-        return [self.engine.execute_rows(sql, params) for sql, params in statements]
 
     def _batch_statements(
         self,

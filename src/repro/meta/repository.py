@@ -204,10 +204,16 @@ class NebulaMeta:
         :class:`ValuePattern`.  Columns that obtain a pattern keep their
         sample too (used for evidence), but per the paper the sample only
         contributes to ``d(w, c)`` when neither ontology nor pattern exist.
+
+        Every sample is drawn from one seeded generator, so the columns are
+        visited in a fixed (table, column) order: ``referencing_columns``
+        is a set, whose iteration order follows the string hash seed.
         """
         rng = make_rng(seed, "meta-sampling")
         for concept in self.concepts:
-            for column in concept.referencing_columns:
+            for column in sorted(
+                concept.referencing_columns, key=lambda c: (c.table, c.column)
+            ):
                 self._bootstrap_column(connection, column, sample_size, infer_patterns, rng)
 
     def _bootstrap_column(

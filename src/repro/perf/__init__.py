@@ -6,9 +6,8 @@ Three cooperating pieces, all dependency-free:
   versioned LRU memo table for keyword-level analysis results (schema
   mappings, meta-repository probes), invalidated lazily when the inverted
   index or the meta repository mutates;
-* :mod:`~repro.perf.parallel` — :class:`ParallelSqlExecutor`, a thread
-  pool of per-thread read-only SQLite connections for concurrent Stage-2
-  statement execution (``NebulaConfig.executor_workers``);
+* :mod:`~repro.perf.pagecache` — :class:`LruPageCache`, the bounded
+  posting-page cache of the persistent inverted index;
 * :mod:`~repro.perf.batch` — :class:`AnnotationRequest`, the input type
   of :meth:`repro.core.nebula.Nebula.insert_annotations`.
 
@@ -19,7 +18,6 @@ invalidation rules, and how to read the new metrics.
 from .batch import AnnotationRequest, RequestLike, coerce_request
 from .cache import MISS, AnalysisCache, CacheStats
 from .pagecache import LruPageCache
-from .parallel import ParallelSqlExecutor, database_path
 
 __all__ = [
     "AnalysisCache",
@@ -27,8 +25,6 @@ __all__ = [
     "CacheStats",
     "LruPageCache",
     "MISS",
-    "ParallelSqlExecutor",
     "RequestLike",
     "coerce_request",
-    "database_path",
 ]

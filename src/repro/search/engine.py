@@ -125,10 +125,6 @@ class SearchResult:
     tuples: List[ScoredTuple]
     sql_queries: List[GeneratedSQL] = field(default_factory=list)
     elapsed: float = 0.0
-    #: Generated statements actually executed (top-K early termination
-    #: may skip the provably irrelevant tail; equals ``len(sql_queries)``
-    #: on the exhaustive path).
-    executed_statements: int = 0
 
     @property
     def refs(self) -> List[TupleRef]:
@@ -156,9 +152,9 @@ class KeywordSearchEngine:
         #: Retry policy for transient lock errors during SQL execution.
         self.retry = retry
         self.schema = schema or SchemaGraph.from_connection(connection)
-        #: The inverted value index.  Injected by the engine owner when a
-        #: persisted index was opened (``repro.search.persist``); absent
-        #: that, the historical in-memory rebuild-per-open.
+        #: The inverted value index.  ``Nebula`` injects the persisted
+        #: index (``repro.search.persist``); absent one, an in-memory
+        #: build — the reference the persisted image is checked against.
         self.index = (
             index
             if index is not None
@@ -248,60 +244,25 @@ class KeywordSearchEngine:
 
         started = time.perf_counter()
         rows = self.retry.run(run, sql) if self.retry is not None else run()
-        self.record_execution(sql, time.perf_counter() - started, len(rows))
+        elapsed = time.perf_counter() - started
+        self.profiler.record(sql, elapsed, len(rows))
+        self._m_statements.inc()
+        self._m_rows.inc(len(rows))
+        self._m_seconds.observe(elapsed)
         return rows
 
-    def record_execution(self, sql: str, elapsed: float, rowcount: int) -> None:
-        """Account one executed statement (profiler + metrics).
-
-        Split out of :meth:`execute_rows` so statements executed elsewhere
-        (the parallel Stage-2 worker pool) can be recorded on the main
-        thread — the profiler and metric handles are not thread-safe.
-        """
-        self.profiler.record(sql, elapsed, rowcount)
-        self._m_statements.inc()
-        self._m_rows.inc(rowcount)
-        self._m_seconds.observe(elapsed)
-
     def search(
-        self,
-        query: KeywordQuery,
-        scope: Optional[SearchScope] = None,
-        top_k: Optional[int] = None,
+        self, query: KeywordQuery, scope: Optional[SearchScope] = None
     ) -> SearchResult:
         """Full pipeline: map -> configure -> SQL -> execute -> merge.
 
         Each answered tuple's confidence is the best confidence among the
         configurations that produced it.
-
-        ``top_k`` enables **exact** early termination: the generated
-        statements run in descending confidence order (stable, so equal-
-        confidence statements keep their generation order), and execution
-        stops once ``top_k`` distinct tuples are held *and* the next
-        statement's confidence falls strictly below the current K-th best
-        score.  A statement below that bound can only add tuples scoring
-        below the K-th best or re-answer tuples whose held score already
-        exceeds its confidence — neither changes the top-K set nor any of
-        its scores — so the result equals the exhaustive ranking truncated
-        to K (ties at the K-th score keep executing, preserving the
-        exhaustive tie-break by tuple ref).  ``executed_statements`` on
-        the result counts how many of the generated statements ran.
         """
         started = time.perf_counter()
         generated = self.generate(query, scope)
-        ordered = (
-            generated
-            if top_k is None
-            else sorted(generated, key=lambda g: -g.confidence)
-        )
         best: Dict[TupleRef, float] = {}
-        executed = 0
-        for sql_query in ordered:
-            if top_k is not None and len(best) >= top_k:
-                kth = sorted(best.values(), reverse=True)[top_k - 1]
-                if sql_query.confidence < kth:
-                    break
-            executed += 1
+        for sql_query in generated:
             for rowid in self.execute_sql(sql_query):
                 ref = TupleRef(sql_query.target_table, rowid)
                 if sql_query.confidence > best.get(ref, 0.0):
@@ -310,12 +271,9 @@ class KeywordSearchEngine:
             ScoredTuple(ref=ref, confidence=conf, provenance=(query.describe(),))
             for ref, conf in sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
         ]
-        if top_k is not None:
-            tuples = tuples[:top_k]
         return SearchResult(
             query=query,
             tuples=tuples,
             sql_queries=generated,
             elapsed=time.perf_counter() - started,
-            executed_statements=executed,
         )

@@ -42,7 +42,6 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
-    Union,
 )
 
 from ..core.nebula import DiscoveryReport, Nebula
@@ -183,8 +182,8 @@ class ServiceStats:
     #: Engine-open cost of the search index ("loaded" persisted images
     #: skip the rebuild; see ``Nebula.index_cold_start_seconds``).
     index_cold_start_seconds: float = 0.0
-    #: Where the index came from: "loaded" / "rebuilt" / "memory".
-    index_source: str = "memory"
+    #: Where the index came from: "loaded" / "rebuilt".
+    index_source: str = "rebuilt"
 
 
 class _ReadHandle:

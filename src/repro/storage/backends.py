@@ -4,19 +4,18 @@ A :class:`StorageBackend` is the engine's whole window onto persistent
 storage: the **primary** read-write connection the pipeline runs on, a
 :class:`~repro.storage.pool.ConnectionPool` of auxiliary handles, a
 factory for **reader** connections that may run concurrently with the
-primary (the parallel Stage-2 executor's workers), and the
+primary (the annotation service's per-read connections), and the
 :class:`~repro.storage.dialect.Dialect` describing the SQL flavor.
 
 Three concrete engines ship with the reproduction:
 
 * :class:`SqliteFileBackend` — a file-backed SQLite database; readers
-  are ``mode=ro`` URI connections, so Stage-2 statements can run in
-  parallel with the main connection's write transaction;
+  are ``mode=ro`` URI connections, so reads can run concurrently with
+  the main connection's write transaction;
 * :class:`SqliteMemoryBackend` — a named shared-cache in-memory SQLite
   database.  Unlike a bare ``:memory:`` connection (private to its
   opener), the shared cache lets the pool and readers open additional
-  handles onto the *same* data — this replaces the bespoke per-thread
-  connection logic the parallel executor used to carry;
+  handles onto the *same* data;
 * :class:`RawConnectionBackend` — the backward-compatibility adapter
   wrapping an externally created :class:`Connection` (the historical
   ``Nebula(connection=...)`` construction).  When the wrapped
@@ -58,11 +57,6 @@ class StorageBackend(Protocol):
     @property
     def primary(self) -> Connection:
         """The engine's main read-write connection (stable identity)."""
-        ...
-
-    @property
-    def supports_concurrent_reads(self) -> bool:
-        """Whether :meth:`open_reader` can hand out live reader handles."""
         ...
 
     def connect(self) -> Connection:
@@ -123,10 +117,6 @@ class _SqliteBackendBase:
 
     def open_reader(self) -> Optional[Connection]:
         return None
-
-    @property
-    def supports_concurrent_reads(self) -> bool:
-        return False
 
     # -- shared machinery ----------------------------------------------
 
@@ -270,10 +260,6 @@ class SqliteFileBackend(_SqliteBackendBase):
         if self.journal_mode == "wal":
             self.primary.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
-    @property
-    def supports_concurrent_reads(self) -> bool:
-        return not self._closed
-
 
 #: Process-wide counter giving each shared-cache database a unique name.
 _MEMORY_IDS = itertools.count(1)
@@ -311,10 +297,6 @@ class SqliteMemoryBackend(_SqliteBackendBase):
     def open_reader(self) -> Optional[Connection]:
         self._ensure_open()
         return self.connect()
-
-    @property
-    def supports_concurrent_reads(self) -> bool:
-        return not self._closed
 
 
 class RawConnectionBackend(_SqliteBackendBase):
@@ -355,10 +337,6 @@ class RawConnectionBackend(_SqliteBackendBase):
         return compat.connect(
             _read_only_uri(self.path), uri=True, check_same_thread=False
         )
-
-    @property
-    def supports_concurrent_reads(self) -> bool:
-        return self.path is not None and not self._closed
 
 
 def wrap_connection(connection: Connection, pool_size: int = 4) -> RawConnectionBackend:

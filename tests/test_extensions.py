@@ -1,16 +1,12 @@
 """Tests for the paper's extension features: the ConceptRefs learner
-(footnote 2), the multi-hop focal reward (§6.2's rejected extension), and
-the spam-annotation guard (footnote 1)."""
+(footnote 2), the direct-edge focal reward (§6.2), and the
+spam-annotation guard (footnote 1)."""
 
 import pytest
 
 from repro.annotations.engine import AnnotationManager
 from repro.core.acg import AnnotationsConnectivityGraph
-from repro.core.focal import (
-    apply_focal_adjustment,
-    focal_reward_factor,
-    path_reward_factor,
-)
+from repro.core.focal import apply_focal_adjustment, focal_reward_factor
 from repro.core.spam import SpamGuard, count_searchable_tuples
 from repro.meta.learning import ConceptLearner, apply_proposals
 from repro.meta.repository import NebulaMeta
@@ -88,55 +84,19 @@ class TestConceptLearner:
         assert meta.sample_for("Gene", "GID") is not None
 
 
-class TestPathFocalReward:
-    @pytest.fixture
-    def chain(self):
-        # 1 - 2 - 3 chain; weights 1.0 each (identical annotation sets).
-        acg = AnnotationsConnectivityGraph()
+class TestFocalReward:
+    def test_only_direct_neighbours_are_rewarded(self):
+        # 1 - 2 - 3 chain: Gene 2 is the focal's neighbour, Gene 3 is two
+        # hops away and gets nothing (§6.2 rejects the multi-hop reward).
+        chain = AnnotationsConnectivityGraph()
         for ann, (a, b) in enumerate([(1, 2), (2, 3)], start=1):
-            acg.add_attachment(ann, TupleRef("Gene", a))
-            acg.add_attachment(ann, TupleRef("Gene", b))
-        return acg
-
-    def test_direct_neighbor_matches_direct_mode(self, chain):
+            chain.add_attachment(ann, TupleRef("Gene", a))
+            chain.add_attachment(ann, TupleRef("Gene", b))
         focal = [TupleRef("Gene", 1)]
-        ref = TupleRef("Gene", 2)
-        assert path_reward_factor(ref, chain, focal) == pytest.approx(
-            focal_reward_factor(ref, chain, focal)
-        )
-
-    def test_multi_hop_tuple_rewarded_only_in_path_mode(self, chain):
-        focal = [TupleRef("Gene", 1)]
-        ref = TupleRef("Gene", 3)  # two hops from the focal
-        assert focal_reward_factor(ref, chain, focal) == 1.0
-        assert path_reward_factor(ref, chain, focal) > 1.0
-
-    def test_hop_bound_respected(self, chain):
-        focal = [TupleRef("Gene", 1)]
-        ref = TupleRef("Gene", 3)
-        assert path_reward_factor(ref, chain, focal, max_hops=1) == 1.0
-        assert path_reward_factor(ref, chain, focal, max_hops=2) > 1.0
-
-    def test_path_weight_is_product_of_edges(self, chain):
-        # Edges 1-2 and 2-3: each tuple pair shares one of each tuple's
-        # annotations -> per-edge Jaccard 1/2 for middle, so the product
-        # path weight must be below either single edge weight.
-        w12 = chain.weight(TupleRef("Gene", 1), TupleRef("Gene", 2))
-        path = chain.best_path_weight(TupleRef("Gene", 1), TupleRef("Gene", 3), 3)
-        assert 0.0 < path < w12
-
-    def test_apply_with_path_mode(self, chain):
-        focal = [TupleRef("Gene", 1)]
+        assert focal_reward_factor(TupleRef("Gene", 3), chain, focal) == 1.0
+        assert focal_reward_factor(TupleRef("Gene", 2), chain, focal) > 1.0
         confidences = {TupleRef("Gene", 3): 0.5}
-        direct = apply_focal_adjustment(confidences, chain, focal, mode="direct")
-        path = apply_focal_adjustment(confidences, chain, focal, mode="path")
-        assert direct[TupleRef("Gene", 3)] == 0.5
-        assert path[TupleRef("Gene", 3)] > 0.5
-
-    def test_best_path_weight_identity_and_unreachable(self, chain):
-        a = TupleRef("Gene", 1)
-        assert chain.best_path_weight(a, a, 3) == 1.0
-        assert chain.best_path_weight(a, TupleRef("Gene", 99), 3) == 0.0
+        assert apply_focal_adjustment(confidences, chain, focal) == confidences
 
 
 class TestSpamGuard:

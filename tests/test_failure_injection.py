@@ -2,7 +2,7 @@
 
 The engine must degrade gracefully — not crash — when fed broken state:
 dangling attachments after raw deletes, empty metadata, empty databases,
-invalid configuration, and malformed stored rows.
+and malformed stored rows.
 """
 
 import re
@@ -12,10 +12,8 @@ import pytest
 
 from repro import Nebula, NebulaConfig, NebulaMeta, ValuePattern
 from repro.annotations.engine import AnnotationManager
-from repro.config import NebulaConfig as Config
 from repro.core.explain import _tuple_values
 from repro.datagen.stats import collect_stats
-from repro.errors import ConfigurationError
 from repro.search.engine import KeywordQuery, KeywordSearchEngine
 from repro.types import CellRef, TupleRef
 
@@ -88,17 +86,6 @@ class TestMalformedInputs:
     def test_invalid_regex_pattern_raises(self):
         with pytest.raises(re.error):
             ValuePattern(r"[unclosed")
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"focal_mode": "nonsense"},
-            {"focal_max_hops": 0},
-        ],
-    )
-    def test_invalid_focal_config(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            Config(**kwargs)
 
     def test_corrupt_attachment_kind_rejected_by_schema(self):
         connection = build_figure1_connection()

@@ -1,7 +1,13 @@
 """Unit tests for NebulaMeta: ConceptRefs, p(w, c), and d(w, c)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import MetadataError, UnknownConceptError
 from repro.meta.concepts import ConceptRef, ReferencingColumn
 from repro.meta.repository import (
@@ -136,6 +142,31 @@ class TestBootstrap:
         assert meta.pattern_for("Gene", "GID") is not None
         # 7 hand-picked names are enough support and share the template.
         assert meta.pattern_for("Gene", "Name") is not None
+
+    def test_bootstrap_samples_do_not_depend_on_hash_seed(self):
+        # Every column's sample comes from one seeded generator, so the
+        # column visiting order must not follow set iteration order.
+        script = (
+            "import json\n"
+            "from repro import BioDatabaseSpec, generate_bio_database\n"
+            "db = generate_bio_database(BioDatabaseSpec("
+            "genes=60, proteins=36, publications=40, seed=11))\n"
+            "print(json.dumps({f'{c.table}.{c.column}': "
+            "list(db.meta.sample_for(c.table, c.column).values) "
+            "for concept in db.meta.concepts "
+            "for c in concept.referencing_columns}, sort_keys=True))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        samples = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            output = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            samples.append(json.loads(output))
+        assert len(samples[0]["Gene.GID"]) == 50
+        assert samples[0] == samples[1]
 
     def test_bootstrap_rejects_unknown_column(self):
         connection = build_figure1_connection()

@@ -3,26 +3,17 @@
 Covers the versioned :class:`AnalysisCache` (LRU + generation
 invalidation), the precomputed count structures of the inverted value
 index, the mapper's per-query keyword dedup, the meta-repository memos,
-the parallel SQL executor, and the bulk Stage-0 store path.
+and the bulk Stage-0 store path.
 """
 
 from __future__ import annotations
 
-import sqlite3
-
 import pytest
 
-from repro import ConceptRef, Lexicon, NebulaMeta
+from repro import ConceptRef, Lexicon
 from repro.annotations.engine import AnnotationManager
 from repro.errors import StorageError
-from repro.perf import (
-    MISS,
-    AnalysisCache,
-    AnnotationRequest,
-    ParallelSqlExecutor,
-    coerce_request,
-    database_path,
-)
+from repro.perf import MISS, AnalysisCache, AnnotationRequest, coerce_request
 from repro.search.index import InvertedValueIndex
 from repro.search.metadata import SchemaGraph
 from repro.types import CellRef, TupleRef
@@ -214,58 +205,6 @@ class TestHotPathMemos:
         by_table = dict((t, (n, dict(cols))) for t, n, cols in names)
         assert by_table["Gene"][0] == "gene"
         assert by_table["Protein"][1]["PName"] == "pname"
-
-
-# ----------------------------------------------------------------------
-# Parallel executor
-# ----------------------------------------------------------------------
-
-
-class TestParallelSqlExecutor:
-    def test_in_memory_database_unavailable(self):
-        connection = sqlite3.connect(":memory:")
-        assert database_path(connection) is None
-        executor = ParallelSqlExecutor(connection, workers=4)
-        assert executor.available is False
-        with pytest.raises(RuntimeError):
-            executor.run([("SELECT 1", ())])
-        connection.close()
-
-    def test_single_worker_unavailable(self, tmp_path):
-        connection = sqlite3.connect(str(tmp_path / "one.db"))
-        executor = ParallelSqlExecutor(connection, workers=1)
-        assert executor.available is False
-        connection.close()
-
-    def test_runs_statements_in_submission_order(self, tmp_path):
-        path = str(tmp_path / "data.db")
-        connection = sqlite3.connect(path)
-        connection.execute("CREATE TABLE t (v INTEGER)")
-        connection.executemany(
-            "INSERT INTO t VALUES (?)", [(n,) for n in range(20)]
-        )
-        connection.commit()
-        assert database_path(connection) == path
-        with ParallelSqlExecutor(connection, workers=3) as executor:
-            statements = [
-                ("SELECT v FROM t WHERE v = ?", (str(n),)) for n in range(12)
-            ]
-            outcomes = executor.run(statements)
-            assert [rows for rows, _elapsed in outcomes] == [
-                [(n,)] for n in range(12)
-            ]
-            assert all(elapsed >= 0.0 for _rows, elapsed in outcomes)
-        assert executor.available is False  # closed
-        connection.close()
-
-    def test_workers_are_read_only(self, tmp_path):
-        connection = sqlite3.connect(str(tmp_path / "ro.db"))
-        connection.execute("CREATE TABLE t (v INTEGER)")
-        connection.commit()
-        with ParallelSqlExecutor(connection, workers=2) as executor:
-            with pytest.raises(Exception):
-                executor.run([("INSERT INTO t VALUES (1)", ()), ("SELECT 1", ())])
-        connection.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Equivalence properties of the ingestion fast paths.
 
-The tentpole optimizations — batched ingestion with cross-annotation
-shared execution, the versioned analysis cache, and the parallel Stage-2
-executor — are pure *speed* changes: the paper's sharing techniques
-"produce the same number of output tuples" (Fig. 13), and this module
-pins that contract down as executable properties.  Every test compares a
+The ingestion optimizations — batched ingestion with cross-annotation
+shared execution and the versioned analysis cache — are pure *speed*
+changes: the paper's sharing techniques "produce the same number of
+output tuples" (Fig. 13), and this module pins that contract down as
+executable properties.  Every test compares a
 fast path against the plain sequential path on identically generated
 worlds and requires byte-identical reports (candidates, confidences,
 provenance, triage decisions) and identical logical database state.
@@ -16,8 +16,6 @@ attachment *content*, not ids.
 """
 
 from __future__ import annotations
-
-import sqlite3
 
 import pytest
 
@@ -40,9 +38,9 @@ SPEC = BioDatabaseSpec(genes=60, proteins=36, publications=240, seed=11)
 WORKLOAD = WorkloadSpec(seed=61)
 
 
-def fresh_world(config=None, connection=None):
+def fresh_world(config=None):
     """A generated database plus an engine — deterministic per SPEC."""
-    db = generate_bio_database(SPEC, connection=connection)
+    db = generate_bio_database(SPEC)
     nebula = Nebula(
         db.connection,
         db.meta,
@@ -225,60 +223,6 @@ class TestSharedExecutionEquivalence:
         stripped = [report_key(r) for r in degraded_reports]
         assert stripped == [report_key(r) for r in clean_reports]
         assert world_state(degraded) == world_state(clean)
-
-
-# ----------------------------------------------------------------------
-# Parallel Stage-2
-# ----------------------------------------------------------------------
-
-
-class TestParallelEquivalence:
-    def test_parallel_file_db_matches_sequential(self, tmp_path):
-        worlds = {}
-        for name, workers in (("seq", 0), ("par", 4)):
-            connection = sqlite3.connect(str(tmp_path / f"{name}.db"))
-            db, nebula = fresh_world(
-                NebulaConfig(epsilon=0.6, executor_workers=workers),
-                connection=connection,
-            )
-            connection.commit()  # user data must be visible to ro workers
-            worlds[name] = (db, nebula)
-
-        _, sequential = worlds["seq"]
-        db2, parallel = worlds["par"]
-        assert parallel.parallel is not None and parallel.parallel.available
-
-        requests = sample_requests(db2, count=8)
-        try:
-            seq_reports = sequential.insert_annotations(requests)
-            par_reports = parallel.insert_annotations(requests)
-            assert parallel.executor.last_stats.parallel_statements > 0
-            assert [report_key(r) for r in par_reports] == [
-                report_key(r) for r in seq_reports
-            ]
-            assert world_state(parallel) == world_state(sequential)
-        finally:
-            sequential.close()
-            parallel.close()
-            sequential.connection.close()
-            parallel.connection.close()
-
-    def test_in_memory_db_never_builds_a_pool(self):
-        # A *private* in-memory database (not the shared-cache backend)
-        # is visible only to its own connection: the engine must fall
-        # back to sequential execution, silently.  Built locally because
-        # ``bio_db`` may be file- or shared-cache-backed under
-        # NEBULA_BACKEND.
-        db = generate_bio_database(SPEC)
-        nebula = Nebula(
-            db.connection,
-            db.meta,
-            NebulaConfig(epsilon=0.6, executor_workers=4),
-            aliases=db.aliases,
-        )
-        assert nebula.parallel is None
-        nebula.close()  # no-op, must not raise
-        db.connection.close()
 
 
 # ----------------------------------------------------------------------

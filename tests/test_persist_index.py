@@ -1,4 +1,4 @@
-"""The persisted search index: parity, staleness, top-K, hop profile.
+"""The persisted search index: parity, staleness, hop profile.
 
 The contract under test: :class:`repro.search.persist.PersistentValueIndex`
 is *observationally identical* to the in-memory
@@ -14,13 +14,16 @@ import pytest
 from repro import Nebula, NebulaConfig, generate_bio_database
 from repro.cli import main as cli_main
 from repro.core.acg import UNREACHABLE, HopProfile, PersistentHopProfile
+from repro.core.execution import identify_related_tuples
+from repro.core.query_generation import generate_queries
 from repro.datagen.biodb import BioDatabaseSpec
 from repro.meta.lexicon import DEFAULT_LEXICON
+from repro.perf import AnalysisCache
 from repro.search.engine import KeywordQuery, KeywordSearchEngine
 from repro.search.index import InvertedValueIndex
 from repro.search.persist import PersistentValueIndex
 
-from conftest import build_figure1_connection, build_figure1_meta
+from conftest import build_figure1_meta
 
 SEARCHABLE = [("Gene", "GID"), ("Gene", "Name"), ("Protein", "PID"),
               ("Protein", "PName"), ("Protein", "PType")]
@@ -94,28 +97,30 @@ class TestPersistParity:
     def test_pipeline_parity_on_generated_world(self, storage_backend):
         """Full Stage 1-2 parity on an organic world, both engines."""
         db = generate_bio_database(TINY_SPEC, backend=storage_backend)
-        memory = Nebula(
-            db.connection, db.meta,
-            NebulaConfig(epsilon=0.6, persist_index=False),
-            aliases=db.aliases,
-        )
         persisted = Nebula(
             db.connection, db.meta, NebulaConfig(epsilon=0.6),
             aliases=db.aliases,
         )
         assert persisted.index_source == "rebuilt"
+        # The reference: an engine over the in-memory index rebuilt from
+        # the data, with an analysis cache of its own.
+        memory = KeywordSearchEngine(
+            db.connection, searchable_columns=persisted.searchable_columns(),
+            aliases=db.aliases, lexicon=db.meta.lexicon,
+            analysis_cache=AnalysisCache(), index=None,
+        )
         gene = db.genes[3]
         for text in (
             f"this gene resembles gene {gene.gid}",
             f"{gene.name} interacts with {db.proteins[0].pname}",
         ):
-            reports = [memory.analyze(text), persisted.analyze(text)]
+            generation = generate_queries(text, db.meta, persisted.config)
+            reference = identify_related_tuples(generation.queries, memory)
+            report = persisted.analyze(text)
             assert [
-                (c.ref, pytest.approx(c.confidence)) for c in reports[0].candidates
-            ] == [(c.ref, c.confidence) for c in reports[1].candidates]
-            assert len(reports[0].generation.queries) == len(
-                reports[1].generation.queries
-            )
+                (c.ref, pytest.approx(c.confidence)) for c in reference.tuples
+            ] == [(c.ref, c.confidence) for c in report.candidates]
+            assert len(generation.queries) == len(report.generation.queries)
 
 
 class TestIncrementalMaintenance:
@@ -211,43 +216,6 @@ class TestStalenessDetection:
         assert nebula.index_source == "rebuilt"
         report = nebula.analyze("gene JW0095 observed")
         assert any(c.ref.table == "Gene" for c in report.candidates)
-
-
-class TestTopKEarlyTermination:
-    """search(top_k=K) equals the exhaustive result truncated to K."""
-
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_equals_exhaustive_on_randomized_worlds(self, seed):
-        db = generate_bio_database(
-            BioDatabaseSpec(genes=36, proteins=20, publications=40, seed=seed)
-        )
-        nebula = Nebula(
-            db.connection, db.meta, NebulaConfig(epsilon=0.6),
-            aliases=db.aliases,
-        )
-        engine = nebula.engine
-        gene = db.genes[seed % len(db.genes)]
-        protein = db.proteins[seed % len(db.proteins)]
-        for keywords in (
-            ("gene", gene.gid), ("gene", gene.name),
-            ("protein", protein.pname), (gene.gid, gene.name),
-        ):
-            exhaustive = engine.search(KeywordQuery(keywords))
-            for k in (1, 2, 5, len(exhaustive.tuples) + 3):
-                limited = engine.search(KeywordQuery(keywords), top_k=k)
-                assert limited.tuples == exhaustive.tuples[:k], (keywords, k)
-                assert limited.executed_statements <= exhaustive.executed_statements
-
-    def test_early_termination_skips_statements(self):
-        connection = build_figure1_connection()
-        engine = KeywordSearchEngine(
-            connection, searchable_columns=SEARCHABLE,
-            aliases={"genes": ("Gene", None)}, lexicon=DEFAULT_LEXICON,
-        )
-        exhaustive = engine.search(KeywordQuery(("gene", "JW0013", "grpC")))
-        limited = engine.search(KeywordQuery(("gene", "JW0013", "grpC")), top_k=1)
-        assert limited.tuples == exhaustive.tuples[:1]
-        assert limited.executed_statements < exhaustive.executed_statements
 
 
 class TestPersistentHopProfile:

@@ -153,17 +153,3 @@ def test_focal_adjustment_never_decreases(confidences, focal):
     assert set(adjusted) == set(confidences)
     for ref, conf in confidences.items():
         assert adjusted[ref] >= conf - 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 5))
-def test_best_path_weight_bounded_and_monotone_in_hops(a, b, hops):
-    acg = AnnotationsConnectivityGraph()
-    for ann, (x, y) in enumerate([(1, 2), (2, 3), (3, 4), (4, 5), (2, 6)], start=1):
-        acg.add_attachment(ann, TupleRef("Gene", x))
-        acg.add_attachment(ann, TupleRef("Gene", y))
-    source, target = TupleRef("Gene", a), TupleRef("Gene", b)
-    shorter = acg.best_path_weight(source, target, hops)
-    longer = acg.best_path_weight(source, target, hops + 1)
-    assert 0.0 <= shorter <= 1.0
-    assert longer >= shorter - 1e-12  # more hops can only help

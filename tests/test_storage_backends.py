@@ -181,7 +181,6 @@ class TestSqliteFileBackend:
             backend.primary.execute("CREATE TABLE t (x)")
             backend.primary.execute("INSERT INTO t VALUES (1)")
             backend.primary.commit()
-            assert backend.supports_concurrent_reads
             reader = backend.open_reader()
             assert reader is not None
             assert reader.execute("SELECT x FROM t").fetchone() == (1,)
@@ -332,11 +331,6 @@ class TestSqliteMemoryBackend:
             with pytest.raises(sqlite3.OperationalError):
                 second.primary.execute("SELECT * FROM only_here")
 
-    def test_supports_concurrent_reads(self):
-        with SqliteMemoryBackend() as backend:
-            assert backend.supports_concurrent_reads
-        assert not backend.supports_concurrent_reads
-
 
 # ----------------------------------------------------------------------
 # Raw-connection adapter
@@ -351,7 +345,6 @@ class TestRawConnectionBackend:
         connection.commit()
         backend = wrap_connection(connection)
         assert backend.path is not None
-        assert backend.supports_concurrent_reads
         reader = backend.open_reader()
         assert reader is not None
         assert reader.execute("SELECT COUNT(*) FROM t").fetchone() == (0,)
@@ -365,7 +358,6 @@ class TestRawConnectionBackend:
         connection = sqlite3.connect(":memory:")
         backend = wrap_connection(connection)
         assert backend.path is None
-        assert not backend.supports_concurrent_reads
         assert backend.open_reader() is None
         with pytest.raises(StorageError):
             backend.connect()
