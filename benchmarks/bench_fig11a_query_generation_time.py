@@ -21,6 +21,9 @@ from conftest import EPSILONS, SIZE_GROUPS, dump_metrics, make_nebula, report, t
 def test_fig11a_query_generation_time(benchmark, dataset_large, epsilon):
     db, workload = dataset_large
     nebula = make_nebula(db, epsilon)
+    # db.meta is shared by every epsilon: swap in a cold value memo so each
+    # row times the same map generation, not what earlier runs memoized.
+    nebula.meta.configure_cache(nebula.config.analysis_cache_size)
 
     rows = []
     for size in SIZE_GROUPS:

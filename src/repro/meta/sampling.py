@@ -21,8 +21,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..utils.tokenize import normalize_word
 
+#: (length, digit-ratio, upper-ratio, alpha-ratio) shape descriptor.
+Shape = Tuple[float, float, float, float]
 
-def _shape_vector(value: str) -> Tuple[float, float, float, float]:
+
+def _shape_vector(value: str) -> Shape:
     """(length, digit-ratio, upper-ratio, alpha-ratio) shape descriptor."""
     if not value:
         return (0.0, 0.0, 0.0, 0.0)
@@ -35,7 +38,10 @@ def _shape_vector(value: str) -> Tuple[float, float, float, float]:
 
 def _shape_similarity(a: str, b: str) -> float:
     """Similarity in [0, 1] between the shape descriptors of two strings."""
-    va, vb = _shape_vector(a), _shape_vector(b)
+    return _vector_similarity(_shape_vector(a), _shape_vector(b))
+
+
+def _vector_similarity(va: Shape, vb: Shape) -> float:
     if va[0] == 0 or vb[0] == 0:
         return 0.0
     length_sim = min(va[0], vb[0]) / max(va[0], vb[0])
@@ -53,6 +59,9 @@ class ColumnSample:
 
     def __post_init__(self) -> None:
         self._normalized = frozenset(normalize_word(v) for v in self.values)
+        # Many values share a shape (50 protein names have 12), and equal
+        # vectors score equally, so match_score scans the distinct ones.
+        self._shapes = tuple(sorted({_shape_vector(v) for v in self.values}))
 
     @classmethod
     def draw(
@@ -85,7 +94,8 @@ class ColumnSample:
             return 0.0
         if self.contains(word):
             return 1.0
-        best = max(_shape_similarity(word, v) for v in self.values)
+        shape = _shape_vector(word)
+        best = max(_vector_similarity(shape, v) for v in self._shapes)
         return 0.7 * best
 
     def __len__(self) -> int:

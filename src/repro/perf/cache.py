@@ -12,7 +12,7 @@ as a miss and dropped — so an ``add_row`` on the index or an
 ``add_concept`` on the repository invalidates exactly the stale entries,
 lazily, with no eager sweep.
 
-Entries are namespaced (``"mapper"``, ``"meta.concepts"``, ...) so one
+Entries are namespaced (``"mapper"``, ``"meta.values"``, ...) so one
 cache instance can serve several call sites without key collisions, and
 bounded by an LRU policy so long-running servers cannot grow without
 limit.  Hit/miss/invalidation counts feed both the instance-local

@@ -23,6 +23,7 @@ import pytest
 from repro import (
     BioDatabaseSpec,
     ConceptRef,
+    Lexicon,
     Nebula,
     NebulaConfig,
     NebulaMeta,
@@ -114,9 +115,9 @@ def build_figure1_connection(
     return connection
 
 
-def build_figure1_meta() -> NebulaMeta:
+def build_figure1_meta(lexicon: Optional[Lexicon] = None) -> NebulaMeta:
     """NebulaMeta populated like the paper's Figure 3 ConceptRefs."""
-    meta = NebulaMeta()
+    meta = NebulaMeta(lexicon)
     meta.add_concept(
         ConceptRef.build("Gene", "Gene", [["GID"], ["Name"]],
                          equivalent_names=["genes", "locus"])

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.meta.ontology import Ontology
 from repro.meta.sampling import ColumnSample, _shape_similarity
+from repro.utils.tokenize import normalize_word
 
 
 class TestOntology:
@@ -80,3 +81,19 @@ def test_shape_similarity_bounded_and_symmetric(a, b):
 @given(st.text(min_size=1, max_size=15))
 def test_shape_similarity_self_is_one(value):
     assert _shape_similarity(value, value) == 1.0
+
+
+_SHAPED_TEXT = st.text(alphabet="aZ09-. ", max_size=8) | st.text(max_size=8)
+
+
+@given(st.lists(_SHAPED_TEXT, max_size=12), st.data())
+def test_match_score_equals_brute_force(values, data):
+    word = data.draw(_SHAPED_TEXT | st.sampled_from(values) if values else _SHAPED_TEXT)
+    sample = ColumnSample("t", "c", tuple(values))
+    if not values:
+        expected = 0.0
+    elif normalize_word(word) in {normalize_word(v) for v in values}:
+        expected = 1.0
+    else:
+        expected = 0.7 * max(_shape_similarity(word, v) for v in values)
+    assert sample.match_score(word) == expected

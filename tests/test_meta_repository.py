@@ -6,16 +6,22 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.errors import MetadataError, UnknownConceptError
 from repro.meta.concepts import ConceptRef, ReferencingColumn
+from repro.meta.lexicon import _DEFAULT_HYPONYMS, _DEFAULT_SYNSETS, Lexicon
+from repro.meta.ontology import Ontology
+from repro.meta.patterns import ValuePattern
 from repro.meta.repository import (
     EQUIVALENT_NAME_SCORE,
     EXACT_NAME_SCORE,
     SYNONYM_NAME_SCORE,
     NebulaMeta,
 )
+from repro.meta.sampling import ColumnSample
+from repro.utils.tokenize import STOPWORDS
 
 from conftest import build_figure1_connection, build_figure1_meta
 
@@ -130,6 +136,108 @@ class TestValueMappings:
         mappings = meta.value_mappings("JW0013")
         scores = [m.score for m in mappings]
         assert scores == sorted(scores, reverse=True)
+
+
+def _probe_words(meta):
+    """Lexicon words, schema and equivalent names, stopwords, and their
+    case and punctuation variants."""
+    words = set(STOPWORDS)
+    for synset in _DEFAULT_SYNSETS:
+        words.update(synset)
+    for hypernym, hyponyms in _DEFAULT_HYPONYMS.items():
+        words.add(hypernym)
+        words.update(hyponyms)
+    for concept in meta.concepts:
+        words.update((concept.concept, concept.table, *concept.equivalent_names))
+        for column in concept.referencing_columns:
+            words.update((column.table, column.column))
+    for names in (*meta._table_equivalents.values(), *meta._column_equivalents.values()):
+        words.update(names)
+    variants = set()
+    for word in words:
+        variants.update((word, word.upper(), word.title(), f"{word}.", f"-{word}/"))
+    return sorted(variants | {"", " ", ".", "spectacular", "JW0013"})
+
+
+def _assert_concept_table_matches_reference(meta, words):
+    for word in words:
+        assert meta.concept_mappings(word) == meta._concept_mappings(word), word
+
+
+_FIGURE1_META = build_figure1_meta()
+
+
+class TestEstimatorTables:
+    """The precomputed tables answer exactly what the scans they replace do."""
+
+    def test_concept_table_matches_reference_on_figure1(self):
+        meta = build_figure1_meta()
+        _assert_concept_table_matches_reference(meta, _probe_words(meta))
+
+    def test_concept_table_matches_reference_on_generated_world(self, bio_db):
+        _assert_concept_table_matches_reference(bio_db.meta, _probe_words(bio_db.meta))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=12))
+    def test_concept_table_matches_reference_on_random_strings(self, word):
+        assert _FIGURE1_META.concept_mappings(word) == _FIGURE1_META._concept_mappings(word)
+
+    @pytest.mark.parametrize(
+        "mutate, word, score",
+        [
+            (lambda meta, lexicon: lexicon.add_synset(["protein", "peptide"]),
+             "peptide", SYNONYM_NAME_SCORE),
+            (lambda meta, lexicon: meta.add_column_equivalents("Gene", "Name", ["moniker"]),
+             "moniker", EQUIVALENT_NAME_SCORE),
+            (lambda meta, lexicon: meta.add_table_equivalents("Protein", ["chain"]),
+             "chain", EQUIVALENT_NAME_SCORE),
+        ],
+        ids=["add_synset", "add_column_equivalents", "add_table_equivalents"],
+    )
+    def test_concept_table_follows_mutations(self, mutate, word, score):
+        lexicon = Lexicon(_DEFAULT_SYNSETS, _DEFAULT_HYPONYMS)
+        meta = build_figure1_meta(lexicon)
+        words = _probe_words(meta) + [word]
+        _assert_concept_table_matches_reference(meta, words)
+        assert meta.concept_mappings(word) == []
+        mutate(meta, lexicon)
+        _assert_concept_table_matches_reference(meta, words)
+        assert [m.score for m in meta.concept_mappings(word)] == [score]
+
+    def test_concept_lookups_leave_the_memo_to_values(self):
+        meta = build_figure1_meta()
+        meta.concept_mappings("gene")
+        assert len(meta._cache) == 0
+        meta.value_mappings("JW0013")
+        assert len(meta._cache) == 1
+
+    def _family_mapping(self, meta, word):
+        return next(m for m in meta.value_mappings(word) if m.column == "Family")
+
+    def test_value_mappings_follow_attach_pattern(self):
+        meta = build_figure1_meta()
+        assert self._family_mapping(meta, "F9").evidence == ("type:TEXT", "sample")
+        meta.attach_pattern("Gene", "Family", ValuePattern("F[0-9]"))
+        family = self._family_mapping(meta, "F9")
+        assert family.evidence == ("type:TEXT", "pattern:F[0-9]")
+        assert family.score == pytest.approx(0.9)
+        assert self._family_mapping(meta, "f9").evidence == ("type:TEXT", "pattern~:F[0-9]")
+
+    def test_value_mappings_follow_attach_ontology(self):
+        meta = build_figure1_meta()
+        assert self._family_mapping(meta, "F9").evidence == ("type:TEXT", "sample")
+        meta.attach_ontology("Gene", "Family", Ontology("families", ["F9"]))
+        family = self._family_mapping(meta, "F9")
+        assert family.evidence == ("type:TEXT", "ontology:families")
+        assert family.score == pytest.approx(0.9)
+
+    def test_value_mappings_follow_attach_sample(self):
+        meta = build_figure1_meta()
+        pname = next(m for m in meta.value_mappings("Z-Actin") if m.column == "PName")
+        assert pname.score < 0.9
+        meta.attach_sample(ColumnSample("Protein", "PName", ("Z-Actin",)))
+        pname = next(m for m in meta.value_mappings("Z-Actin") if m.column == "PName")
+        assert pname.score == pytest.approx(0.9)
 
 
 class TestBootstrap:

@@ -15,9 +15,14 @@ The invariants proved here:
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
+
+import repro
 
 from repro import (
     AnnotationService,
@@ -575,3 +580,20 @@ class TestTelemetryServer:
         submitted = final["nebula_service_submitted_total"].value()
         ingested = final["nebula_service_ingested_total"].value()
         assert submitted == ingested >= 1.0
+
+
+def test_importing_the_cli_loads_no_http_server():
+    # http.server pulls in http.client and ssl; only a process that starts
+    # the telemetry endpoint should pay for them.
+    script = (
+        "import sys\n"
+        "import repro.cli\n"
+        "print(sorted(m for m in ('http.server', 'ssl') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    output = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert output.strip() == "[]"
