@@ -188,16 +188,21 @@ class AnnotationsConnectivityGraph:
             return 0
         if ref not in self._annotations_of:
             return UNREACHABLE
+        # Level by level with set operations: they reuse the hashes the
+        # adjacency sets store instead of rehashing every visited tuple.
         visited = {ref}
-        queue = deque([(ref, 0)])
-        while queue:
-            current, depth = queue.popleft()
-            for neighbor in self._adjacency.get(current, ()):
-                if neighbor in seed_set:
-                    return depth + 1
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    queue.append((neighbor, depth + 1))
+        frontier = {ref}
+        depth = 0
+        while frontier:
+            depth += 1
+            reached: Set[TupleRef] = set()
+            for node in frontier:
+                reached.update(self._adjacency.get(node, ()))
+            if not reached.isdisjoint(seed_set):
+                return depth
+            reached -= visited
+            visited |= reached
+            frontier = reached
         return UNREACHABLE
 
 

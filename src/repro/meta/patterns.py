@@ -27,10 +27,13 @@ class ValuePattern:
     #: Case sensitivity matters for identifier schemes like ``grpC``.
     case_sensitive: bool = True
     _compiled: Pattern[str] = field(init=False, repr=False, compare=False, hash=False, default=None)  # type: ignore[assignment]
+    _casefolded: Pattern[str] = field(init=False, repr=False, compare=False, hash=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        anchored = rf"\A(?:{self.source})\Z"
         flags = 0 if self.case_sensitive else re.IGNORECASE
-        object.__setattr__(self, "_compiled", re.compile(rf"\A(?:{self.source})\Z", flags))
+        object.__setattr__(self, "_compiled", re.compile(anchored, flags))
+        object.__setattr__(self, "_casefolded", re.compile(anchored, re.IGNORECASE))
 
     def matches(self, value: str) -> bool:
         """Full-string match of ``value`` against the pattern.
@@ -41,6 +44,14 @@ class ValuePattern:
         False
         """
         return self._compiled.match(value) is not None
+
+    def matches_casefold(self, value: str) -> bool:
+        """Full-string match of ``value`` ignoring case.
+
+        >>> ValuePattern(r"JW[0-9]{4}").matches_casefold("jw0014")
+        True
+        """
+        return self._casefolded.match(value) is not None
 
 
 # Character classes used for pattern inference, most specific first.

@@ -20,18 +20,17 @@ It exposes the two probability estimators the signature maps are built on:
     estimate ``d(w, c)`` combining data-type compatibility, ontology
     membership, pattern conformance, and sample matching.
 
-Both estimators read tables precomputed once per repository state, the
-EMBANKS idea of replacing per-query scans with prebuilt structures: an
-inverted name table answers ``concept_mappings`` with one dict probe, and
-a value plan lists each referencing column with its evidence sources so a
-``value_mappings`` miss scores only those.
+``concept_mappings`` reads an inverted name table precomputed once per
+repository state, the EMBANKS idea of replacing per-query scans with
+prebuilt structures: only a few dozen words can score p(w, c) > 0, so one
+dict probe answers every word.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, cast
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, cast
 
 from ..errors import MetadataError, UnknownConceptError
 from ..perf.cache import MISS, AnalysisCache
@@ -86,27 +85,8 @@ class ValueMapping:
     evidence: Tuple[str, ...] = ()
 
 
-class _ValueColumn(NamedTuple):
-    """One referencing column with the evidence sources d(w, c) consults."""
-
-    column: ReferencingColumn
-    declared_type: str
-    ontology: Optional[Ontology]
-    pattern: Optional[ValuePattern]
-    #: ``pattern`` compiled case-insensitively, for the weaker casefold tier.
-    casefold_pattern: Optional[ValuePattern]
-    #: Set only when the column has neither ontology nor pattern.
-    sample: Optional[ColumnSample]
-
-
-class _Tables(NamedTuple):
-    """The estimator tables derived from one repository stamp."""
-
-    stamp: Tuple[int, int]
-    #: One entry per distinct referencing column, in concept order.
-    value_plan: Tuple[_ValueColumn, ...]
-    #: Normalized word -> its p(w, c) > 0 mappings; absent words map to none.
-    names: Dict[str, Tuple[ConceptMapping, ...]]
+#: Normalized word -> its p(w, c) > 0 mappings; absent words map to none.
+_NameTable = Dict[str, Tuple[ConceptMapping, ...]]
 
 
 def _type_compatible(word: str, declared_type: str) -> bool:
@@ -135,8 +115,8 @@ class NebulaMeta:
         self._ontologies: Dict[Tuple[str, str], Ontology] = {}
         self._patterns: Dict[Tuple[str, str], ValuePattern] = {}
         self._samples: Dict[Tuple[str, str], ColumnSample] = {}
-        #: Bumped on every registration; versions the estimator tables and
-        #: the value memo.
+        #: Bumped on every registration; versions the name table and the
+        #: value memo.
         self._generation = 0
         # Private per-repository memo table for value_mappings — a
         # repository may be shared across engines, so the cache must live
@@ -144,9 +124,10 @@ class NebulaMeta:
         # MUST go through the registration methods above for the
         # generation stamp to stay honest.
         self._cache = AnalysisCache()
-        # Built lazily and replaced in one assignment when the stamp moves,
-        # so a reader never pairs a plan and a name table of two stamps.
-        self._tables: Optional[_Tables] = None
+        # (stamp, name table), built lazily and replaced in one assignment
+        # when the stamp moves, so a reader never pairs a table with the
+        # stamp of another repository state.
+        self._names: Optional[Tuple[Tuple[int, int], _NameTable]] = None
 
     @property
     def generation(self) -> int:
@@ -157,8 +138,10 @@ class NebulaMeta:
 
         Swapping in a fresh cache is always safe — entries are pure
         derivations of repository state.  Mainly an ablation knob: the
-        benchmarks use it to measure the un-memoized pipeline.  The
-        precomputed estimator tables are not a memo and stay in place.
+        benchmarks use it to measure the un-memoized pipeline, so with 0
+        entries ``concept_mappings`` also skips the name table (the memo of
+        every word that can score) and each estimator call recomputes from
+        the repository.
         """
         self._cache = AnalysisCache(max_entries)
 
@@ -294,22 +277,25 @@ class NebulaMeta:
         lexicon synonym.  Stopwords never map.
 
         One probe of the inverted name table, which is rebuilt when the
-        repository or lexicon generation moves.
+        repository or lexicon generation moves; a direct computation when
+        :meth:`configure_cache` disabled memoization.
         """
-        return list(self._current_tables().names.get(normalize_word(word), ()))
+        if not self._cache.enabled:
+            return self._concept_mappings(word)
+        return list(self._name_table().get(normalize_word(word), ()))
 
     def _stamp(self) -> Tuple[int, int]:
         return (self._generation, self.lexicon.generation)
 
-    def _current_tables(self) -> _Tables:
+    def _name_table(self) -> _NameTable:
         stamp = self._stamp()
-        tables = self._tables
-        if tables is None or tables.stamp != stamp:
-            tables = _Tables(stamp, self._build_value_plan(), self._build_name_table())
-            self._tables = tables
-        return tables
+        names = self._names
+        if names is None or names[0] != stamp:
+            names = (stamp, self._build_name_table())
+            self._names = names
+        return names[1]
 
-    def _build_name_table(self) -> Dict[str, Tuple[ConceptMapping, ...]]:
+    def _build_name_table(self) -> _NameTable:
         """Map every word that can score p(w, c) > 0 to its mappings.
 
         A word scores only by equalling a table, column or concept name or
@@ -328,7 +314,7 @@ class NebulaMeta:
         keys = {normalize_word(name) for name in names}
         for key in list(keys):
             keys.update(self.lexicon.synonyms(key))
-        table: Dict[str, Tuple[ConceptMapping, ...]] = {}
+        table: _NameTable = {}
         for key in keys:
             mappings = self._concept_mappings(key)
             if mappings:
@@ -401,8 +387,7 @@ class NebulaMeta:
         neither an ontology nor a pattern.
 
         Memoized per exact word string — pattern matching is surface- and
-        case-sensitive, so the key must not be normalized.  A miss scores
-        the word against the precomputed value plan.
+        case-sensitive, so the key must not be normalized.
         """
         stamp = self._stamp()
         cached = self._cache.get("meta.values", word, stamp)
@@ -418,74 +403,53 @@ class NebulaMeta:
         if not surface or not key or is_stopword(key):
             return []
         mappings: List[ValueMapping] = []
-        for column in self._current_tables().value_plan:
-            mapping = _value_score(surface, column)
-            if mapping is not None:
-                mappings.append(mapping)
-        mappings.sort(key=lambda m: (-m.score, m.table, m.column))
-        return mappings
-
-    def _build_value_plan(self) -> Tuple[_ValueColumn, ...]:
-        plan: List[_ValueColumn] = []
         seen: set = set()
         for concept in self.concepts:
             for column in concept.referencing_columns:
-                key = (normalize_word(column.table), normalize_word(column.column))
-                if key in seen:
+                column_key = (normalize_word(column.table), normalize_word(column.column))
+                if column_key in seen:
                     continue
-                seen.add(key)
-                ontology = self._ontologies.get(key)
-                pattern = self._patterns.get(key)
-                plan.append(
-                    _ValueColumn(
-                        column=column,
-                        declared_type=self._column_types.get(key, "TEXT"),
-                        ontology=ontology,
-                        pattern=pattern,
-                        casefold_pattern=(
-                            None
-                            if pattern is None
-                            else ValuePattern(pattern.source, case_sensitive=False)
-                        ),
-                        sample=(
-                            self._samples.get(key)
-                            if ontology is None and pattern is None
-                            else None
-                        ),
-                    )
-                )
-        return tuple(plan)
+                seen.add(column_key)
+                mapping = self._value_score(surface, column)
+                if mapping is not None:
+                    mappings.append(mapping)
+        mappings.sort(key=lambda m: (-m.score, m.table, m.column))
+        return mappings
 
-
-def _value_score(word: str, entry: _ValueColumn) -> Optional[ValueMapping]:
-    column, declared_type, ontology, pattern, casefold_pattern, sample = entry
-    if not _type_compatible(word, declared_type):
-        return None
-    score = TYPE_COMPATIBILITY_SCORE
-    evidence: List[str] = [f"type:{declared_type}"]
-    if ontology is not None and ontology.contains(word):
-        score += ONTOLOGY_MEMBER_SCORE
-        evidence.append(f"ontology:{ontology.name}")
-    if pattern is not None:
-        if pattern.matches(word):
-            score += PATTERN_MATCH_SCORE
-            evidence.append(f"pattern:{pattern.source}")
-        elif casefold_pattern is not None and casefold_pattern.matches(word):
-            score += PATTERN_CASEFOLD_SCORE
-            evidence.append(f"pattern~:{pattern.source}")
-    if sample is not None:
-        contribution = SAMPLE_WEIGHT * sample.match_score(word)
-        if contribution > 0.0:
-            score += contribution
-            evidence.append("sample")
-    if score <= TYPE_COMPATIBILITY_SCORE:
-        return None
-    return ValueMapping(
-        table=column.table,
-        column=column.column,
-        score=min(score, 1.0),
-        evidence=tuple(evidence),
-    )
+    def _value_score(self, word: str, column: ReferencingColumn) -> Optional[ValueMapping]:
+        key = (normalize_word(column.table), normalize_word(column.column))
+        declared_type = self._column_types.get(key, "TEXT")
+        if not _type_compatible(word, declared_type):
+            return None
+        score = TYPE_COMPATIBILITY_SCORE
+        evidence: List[str] = [f"type:{declared_type}"]
+        ontology = self._ontologies.get(key)
+        pattern = self._patterns.get(key)
+        if ontology is not None and ontology.contains(word):
+            score += ONTOLOGY_MEMBER_SCORE
+            evidence.append(f"ontology:{ontology.name}")
+        if pattern is not None:
+            if pattern.matches(word):
+                score += PATTERN_MATCH_SCORE
+                evidence.append(f"pattern:{pattern.source}")
+            elif pattern.matches_casefold(word):
+                score += PATTERN_CASEFOLD_SCORE
+                evidence.append(f"pattern~:{pattern.source}")
+        if ontology is None and pattern is None:
+            sample = self._samples.get(key)
+            if sample is not None:
+                contribution = SAMPLE_WEIGHT * sample.match_score(word)
+                if contribution > 0.0:
+                    score += contribution
+                    evidence.append("sample")
+        if score <= TYPE_COMPATIBILITY_SCORE:
+            return None
+        return ValueMapping(
+            table=column.table,
+            column=column.column,
+            score=min(score, 1.0),
+            evidence=tuple(evidence),
+        )
 
 
 def _dedupe_concept_mappings(mappings: Sequence[ConceptMapping]) -> List[ConceptMapping]:

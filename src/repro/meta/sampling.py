@@ -61,7 +61,7 @@ class ColumnSample:
         self._normalized = frozenset(normalize_word(v) for v in self.values)
         # Many values share a shape (50 protein names have 12), and equal
         # vectors score equally, so match_score scans the distinct ones.
-        self._shapes = tuple(sorted({_shape_vector(v) for v in self.values}))
+        self._shapes = tuple({_shape_vector(v) for v in self.values})
 
     @classmethod
     def draw(

@@ -155,6 +155,43 @@ def test_k_hop_monotone_in_k(hops_points):
         previous = current
 
 
+def _reference_hops(acg, ref, seeds):
+    """Distance to the nearest seed by a plain breadth-first search."""
+    targets = {s for s in seeds if acg.contains(s)}
+    if not targets or not acg.contains(ref):
+        return UNREACHABLE
+    depth = {ref: 0}
+    queue = [ref]
+    for node in queue:
+        if node in targets:
+            return depth[node]
+        for neighbor in acg.neighbors(node):
+            if neighbor not in depth:
+                depth[neighbor] = depth[node] + 1
+                queue.append(neighbor)
+    return UNREACHABLE
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 14)), max_size=50),
+    st.integers(1, 15),
+    st.lists(st.integers(1, 15), max_size=4),
+    st.lists(st.integers(1, 12), max_size=3),
+)
+def test_shortest_hops_matches_breadth_first_search(attachments, start, seeds, removed):
+    """Property: the hop count is the BFS distance to the nearest seed,
+    also after annotations are removed."""
+    acg = AnnotationsConnectivityGraph()
+    for annotation_id, tuple_index in attachments:
+        acg.add_attachment(annotation_id, _ref(tuple_index))
+    for annotation_id in removed:
+        acg.remove_annotation(annotation_id)
+    seed_refs = [_ref(i) for i in seeds]
+    assert acg.shortest_hops(_ref(start), seed_refs) == _reference_hops(
+        acg, _ref(start), seed_refs
+    )
+
+
 class TestStabilityTracker:
     def test_stable_when_few_new_edges(self):
         tracker = StabilityTracker(batch_size=2, mu=0.5)

@@ -2,7 +2,6 @@
 
 import string
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.meta.patterns import ValuePattern, infer_pattern
@@ -27,6 +26,18 @@ class TestValuePattern:
 
     def test_empty_string_never_matches(self):
         assert not ValuePattern(r"[a-z]+").matches("")
+
+    @given(
+        st.sampled_from([r"JW[0-9]{4}", r"[a-z]{3}[A-Z]", r"F-[0-9]"]),
+        st.booleans(),
+        st.text(alphabet="JWjwFf-0123abcXYZ", max_size=7),
+    )
+    def test_casefold_match_equals_case_insensitive_pattern(
+        self, source, case_sensitive, value
+    ):
+        pattern = ValuePattern(source, case_sensitive=case_sensitive)
+        insensitive = ValuePattern(source, case_sensitive=False)
+        assert pattern.matches_casefold(value) == insensitive.matches(value)
 
 
 class TestInferPattern:

@@ -211,6 +211,15 @@ class TestEstimatorTables:
         meta.value_mappings("JW0013")
         assert len(meta._cache) == 1
 
+    def test_disabled_memo_computes_concepts_directly(self):
+        meta = build_figure1_meta()
+        meta.configure_cache(0)
+        _assert_concept_table_matches_reference(meta, _probe_words(meta))
+        assert meta._names is None
+        meta.configure_cache(16)
+        assert meta.concept_mappings("locus")
+        assert meta._names is not None
+
     def _family_mapping(self, meta, word):
         return next(m for m in meta.value_mappings(word) if m.column == "Family")
 
