@@ -14,7 +14,8 @@ Exports the machine-readable summary CI tracks to
 ``benchmarks/results/BENCH_history.json``.  Set ``BENCH_SMOKE=1`` for
 the small CI world with relaxed assertions.
 
-Honors ``NEBULA_BACKEND``; defaults to the shared-cache memory engine.
+Each world (and its legacy clone) is a temporary database file,
+deleted after its scale runs.
 
 Run::
 
@@ -23,10 +24,9 @@ Run::
 
 import json
 import os
-import tempfile
 import time
 
-from repro import BioDatabaseSpec, generate_bio_database, get_backend
+from repro import BioDatabaseSpec, SqliteFileBackend, generate_bio_database
 from repro.versioning import CommitLog, timetravel
 from repro.versioning.schema import LEGACY_DDL
 
@@ -71,22 +71,14 @@ _COUNT = "SELECT COUNT(*) FROM _nebula_annotations"
 
 
 def _build_world(factor):
-    engine = os.environ.get("NEBULA_BACKEND", "sqlite-memory")
-    path = None
-    if engine == "sqlite-file":
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".db", prefix="nebula-bench-history-", delete=False
-        )
-        handle.close()
-        path = handle.name
-    backend = get_backend(engine, path=path)
+    backend = SqliteFileBackend.temporary()
     db = generate_bio_database(FIGURE_SPEC.scaled(factor), backend=backend)
-    return backend, path, db
+    return backend, db
 
 
 def _clone_legacy(connection):
     """A pre-versioning database holding the same latest-state content."""
-    backend = get_backend("sqlite-memory")
+    backend = SqliteFileBackend.temporary()
     legacy = backend.primary
     legacy.executescript(LEGACY_DDL)
     legacy.executemany(
@@ -143,7 +135,7 @@ def _asof_suite_ms(connection, pin):
 
 
 def _measure_scale(factor):
-    backend, path, db = _build_world(factor)
+    backend, db = _build_world(factor)
     legacy_backend = None
     try:
         connection = db.connection
@@ -175,8 +167,6 @@ def _measure_scale(factor):
         if legacy_backend is not None:
             legacy_backend.close()
         backend.close()
-        if path is not None and os.path.exists(path):
-            os.unlink(path)
 
 
 def test_history_read_overhead():
@@ -214,7 +204,7 @@ def test_history_read_overhead():
         json.dump(
             {
                 "mode": "smoke" if BENCH_SMOKE else "full",
-                "backend": os.environ.get("NEBULA_BACKEND", "sqlite-memory"),
+                "backend": SqliteFileBackend.name,
                 "read_loops": READ_LOOPS,
                 "max_head_overhead": MAX_HEAD_OVERHEAD,
                 "scales": results,

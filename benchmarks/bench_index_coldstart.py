@@ -14,7 +14,7 @@ Exports the machine-readable summary CI tracks to
 ``benchmarks/results/BENCH_index.json``.  Set ``BENCH_SMOKE=1`` for the
 small CI world with relaxed assertions.
 
-Honors ``NEBULA_BACKEND``; defaults to the shared-cache memory engine.
+Each world is a temporary database file, deleted after its scale runs.
 
 Run::
 
@@ -23,7 +23,6 @@ Run::
 
 import json
 import os
-import tempfile
 import time
 
 from repro import (
@@ -31,8 +30,8 @@ from repro import (
     KeywordSearchEngine,
     Nebula,
     NebulaConfig,
+    SqliteFileBackend,
     generate_bio_database,
-    get_backend,
 )
 from repro.core.execution import identify_related_tuples
 from repro.core.query_generation import generate_queries
@@ -56,17 +55,9 @@ MIN_SPEEDUP = 2.0 if BENCH_SMOKE else 5.0
 
 
 def _build_world(factor):
-    engine = os.environ.get("NEBULA_BACKEND", "sqlite-memory")
-    path = None
-    if engine == "sqlite-file":
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".db", prefix="nebula-bench-index-", delete=False
-        )
-        handle.close()
-        path = handle.name
-    backend = get_backend(engine, path=path)
+    backend = SqliteFileBackend.temporary()
     db = generate_bio_database(FIGURE_SPEC.scaled(factor), backend=backend)
-    return backend, path, db
+    return backend, db
 
 
 def _stage12_ms(engine, db, config):
@@ -88,19 +79,18 @@ def _stage12_ms(engine, db, config):
 
 
 def _measure_scale(factor):
-    backend, path, db = _build_world(factor)
+    backend, db = _build_world(factor)
     try:
         config = NebulaConfig(epsilon=0.6)
         # First open: no persisted image exists, so the engine scans
         # every searchable column and persists the postings.
-        cold = Nebula(db.connection, db.meta, config, aliases=db.aliases)
+        cold = Nebula(db.backend, db.meta, config, aliases=db.aliases)
         assert cold.index_source == "rebuilt"
         rebuild_seconds = cold.index_cold_start_seconds
         description = cold.index.describe()
-        cold.close()
         # Second open: the stamps match, so the image is adopted after
         # O(#columns) probes without reading a single posting.
-        warm = Nebula(db.connection, db.meta, config, aliases=db.aliases)
+        warm = Nebula(db.backend, db.meta, config, aliases=db.aliases)
         assert warm.index_source == "loaded"
         loaded_seconds = warm.index_cold_start_seconds
         persistent_ms = _stage12_ms(warm.engine, db, config)
@@ -115,7 +105,6 @@ def _measure_scale(factor):
             index=None,
         )
         memory_ms = _stage12_ms(memory, db, config)
-        warm.close()
         return {
             "factor": factor,
             "genes": len(db.genes),
@@ -132,8 +121,6 @@ def _measure_scale(factor):
         }
     finally:
         backend.close()
-        if path is not None and os.path.exists(path):
-            os.unlink(path)
 
 
 def test_index_cold_start():
@@ -171,7 +158,7 @@ def test_index_cold_start():
         json.dump(
             {
                 "mode": "smoke" if BENCH_SMOKE else "full",
-                "backend": os.environ.get("NEBULA_BACKEND", "sqlite-memory"),
+                "backend": SqliteFileBackend.name,
                 "scales": results,
             },
             handle,

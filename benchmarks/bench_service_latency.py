@@ -15,7 +15,7 @@ Exports the machine-readable summary CI tracks to
 ``benchmarks/results/BENCH_service_latency.json``.  Set ``BENCH_SMOKE=1``
 for the small CI world with relaxed assertions.
 
-Honors ``NEBULA_BACKEND``; defaults to the shared-cache memory engine.
+The world is a temporary database file, deleted after the run.
 
 Run::
 
@@ -24,7 +24,6 @@ Run::
 
 import json
 import os
-import tempfile
 import threading
 import time
 
@@ -34,8 +33,8 @@ from repro import (
     Nebula,
     NebulaConfig,
     ServiceConfig,
+    SqliteFileBackend,
     generate_bio_database,
-    get_backend,
 )
 from repro.errors import ServiceOverloadedError
 from repro.observability import StreamingQuantiles, merged_percentiles
@@ -56,24 +55,16 @@ PHASES = ("queue", "flush", "e2e")
 
 
 def _build_world():
-    engine = os.environ.get("NEBULA_BACKEND", "sqlite-memory")
-    path = None
-    if engine == "sqlite-file":
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".db", prefix="nebula-bench-service-", delete=False
-        )
-        handle.close()
-        path = handle.name
-    backend = get_backend(engine, path=path)
+    backend = SqliteFileBackend.temporary()
     db = generate_bio_database(SPEC, backend=backend)
     nebula = Nebula(
         backend, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
     )
-    return backend, path, db, nebula
+    return backend, db, nebula
 
 
 def test_service_latency_percentiles():
-    backend, path, db, nebula = _build_world()
+    backend, db, nebula = _build_world()
     service = AnnotationService(
         nebula,
         ServiceConfig(
@@ -128,10 +119,7 @@ def test_service_latency_percentiles():
 
     stats = service.stats()
     clean = service.stop()
-    nebula.close()
     backend.close()
-    if path is not None and os.path.exists(path):
-        os.unlink(path)
 
     attempts = CLIENTS * REQUESTS_PER_CLIENT
     rate = counts["ok"] / elapsed if elapsed > 0 else float("inf")

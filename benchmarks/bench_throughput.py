@@ -21,11 +21,11 @@ import time
 
 import pytest
 
-from repro import BioDatabaseSpec, Nebula, NebulaConfig
+from repro import BioDatabaseSpec, Nebula, NebulaConfig, generate_bio_database
 from repro.datagen.workload import WorkloadSpec, generate_workload
 from repro.perf import AnnotationRequest
 
-from conftest import RESULTS_DIR, build_database, report, table
+from conftest import RESULTS_DIR, report, table
 
 #: Smoke mode: small world, relaxed speedup bar — used by CI's bench-smoke
 #: job where the point is "the fast path works and is not a regression",
@@ -50,7 +50,7 @@ def test_insert_throughput(benchmark, dataset_mid):
         ("spreading K=2", {"use_spreading": True, "radius": 2}, {}),
     ):
         nebula = Nebula(
-            db.connection,
+            db.backend,
             db.meta,
             NebulaConfig(epsilon=0.6).with_updates(**config_updates),
             aliases=db.aliases,
@@ -85,7 +85,7 @@ def test_insert_throughput(benchmark, dataset_mid):
     # Sanity: every strategy sustains a usable interactive rate.
     assert all(rate > 10 for rate in rates.values())
 
-    nebula = Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6),
+    nebula = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6),
                     aliases=db.aliases)
     workload = generate_workload(db, WorkloadSpec(seed=67))
     samples = iter(workload.annotations * 50)
@@ -112,9 +112,9 @@ def _fresh_ingestion_world(**config_updates):
     """
     spec = SMOKE_SPEC if BENCH_SMOKE else FULL_SPEC
     seeds = (61,) if BENCH_SMOKE else tuple(range(61, 69))
-    db = build_database(spec)
+    db = generate_bio_database(spec)
     nebula = Nebula(
-        db.connection,
+        db.backend,
         db.meta,
         NebulaConfig(epsilon=0.6).with_updates(**config_updates),
         aliases=db.aliases,

@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import pytest
 
@@ -28,7 +27,6 @@ from repro import (
     NebulaConfig,
     generate_bio_database,
     generate_workload,
-    get_backend,
 )
 from repro.core.bounds import TrainingSample
 from repro.datagen.biodb import BioDatabase, BioDatabaseSpec
@@ -106,47 +104,13 @@ def metrics_session_snapshot():
 
 
 # ----------------------------------------------------------------------
-# Datasets (session scope: built once per benchmark run)
+# Datasets (session scope: built once per benchmark run, each on a
+# temporary database file removed when the process exits)
 # ----------------------------------------------------------------------
 
 
-#: Backends created for NEBULA_BACKEND-pinned datasets, closed (with
-#: their throwaway database files) at session end.
-_SESSION_BACKENDS: List[Tuple[object, Optional[str]]] = []
-
-
-def build_database(spec: BioDatabaseSpec) -> BioDatabase:
-    """Generate ``spec`` on the engine pinned by ``NEBULA_BACKEND``.
-
-    Unset (the default benchmarking configuration), the world lives in a
-    private in-memory database; the CI bench-smoke job pins an engine so
-    the measured pipeline runs through the storage backend layer.
-    """
-    pinned = os.environ.get("NEBULA_BACKEND")
-    if not pinned:
-        return generate_bio_database(spec)
-    path: Optional[str] = None
-    if pinned == "sqlite-file":
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".db", prefix="nebula-bench-", delete=False
-        )
-        handle.close()
-        path = handle.name
-    backend = get_backend(pinned, path=path)
-    _SESSION_BACKENDS.append((backend, path))
-    return generate_bio_database(spec, backend=backend)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    for backend, path in _SESSION_BACKENDS:
-        backend.close()  # type: ignore[attr-defined]
-        if path is not None and os.path.exists(path):
-            os.unlink(path)
-    _SESSION_BACKENDS.clear()
-
-
 def _build(scale_name: str) -> Tuple[BioDatabase, AnnotationWorkload]:
-    db = build_database(BASE_SPEC.scaled(SCALES[scale_name]))
+    db = generate_bio_database(BASE_SPEC.scaled(SCALES[scale_name]))
     workload = generate_workload(db, WorkloadSpec(seed=29))
     return db, workload
 
@@ -183,7 +147,7 @@ def make_nebula(db: BioDatabase, epsilon: float = 0.6, **config_updates) -> Nebu
     key = (id(db), epsilon, tuple(sorted(config_updates.items())))
     if key not in _ENGINE_CACHE:
         _ENGINE_CACHE[key] = Nebula(
-            db.connection,
+            db.backend,
             db.meta,
             NebulaConfig(epsilon=epsilon).with_updates(**config_updates),
             aliases=db.aliases,

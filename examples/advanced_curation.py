@@ -31,7 +31,7 @@ def main() -> None:
     db = generate_bio_database(
         BioDatabaseSpec(genes=150, proteins=90, publications=700, seed=17)
     )
-    nebula = Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6),
+    nebula = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6),
                     aliases=db.aliases)
 
     # ------------------------------------------------------------------

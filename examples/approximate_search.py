@@ -31,7 +31,7 @@ def main() -> None:
                         community_size=8, seed=99)
     )
     workload = generate_workload(db, WorkloadSpec(seed=7))
-    nebula = Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6),
+    nebula = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6),
                     aliases=db.aliases)
 
     # ------------------------------------------------------------------

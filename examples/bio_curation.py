@@ -13,16 +13,14 @@ Neither curator creates those extra links — the database is
 Run:  python examples/bio_curation.py
 """
 
-import sqlite3
-
 from repro import (
-    CellRef,
     TupleRef,
     ConceptRef,
     Nebula,
     NebulaConfig,
     NebulaMeta,
     Ontology,
+    SqliteFileBackend,
     ValuePattern,
     propagate,
 )
@@ -55,8 +53,10 @@ ALICE_COMMENT = (
 )
 
 
-def build_database() -> sqlite3.Connection:
-    connection = sqlite3.connect(":memory:")
+def build_database() -> SqliteFileBackend:
+    """The Figure-1 tables on a temporary database file."""
+    backend = SqliteFileBackend.temporary()
+    connection = backend.primary
     connection.executescript(
         """
         CREATE TABLE Gene (
@@ -71,7 +71,7 @@ def build_database() -> sqlite3.Connection:
     )
     connection.executemany("INSERT INTO Gene VALUES (?, ?, ?, ?, ?)", GENES)
     connection.executemany("INSERT INTO Protein VALUES (?, ?, ?, ?, ?)", PROTEINS)
-    return connection
+    return backend
 
 
 def build_meta() -> NebulaMeta:
@@ -99,8 +99,9 @@ def build_meta() -> NebulaMeta:
 
 
 def main() -> None:
-    connection = build_database()
-    nebula = Nebula(connection, build_meta(), NebulaConfig(epsilon=0.6))
+    backend = build_database()
+    connection = backend.primary
+    nebula = Nebula(backend, build_meta(), NebulaConfig(epsilon=0.6))
 
     def rowid_of(gid: str) -> int:
         return connection.execute(
@@ -134,6 +135,7 @@ def main() -> None:
     for row in propagate(connection, "Gene", where="Family = 'F1'"):
         notes = [text[:46] + "..." for text, _ in row.annotations]
         print(f"  {row.values[0]:8} {row.values[1]:6} annotations={notes}")
+    backend.close()
 
 
 if __name__ == "__main__":

@@ -14,21 +14,16 @@ up/ready while running, the latency-percentile gauges appear once
 requests flow, and the final scrape's counters match the closed-world
 request accounting.
 
-Honors ``NEBULA_BACKEND`` (``sqlite-file`` / ``sqlite-memory``) so the
-CI matrix drives the same scenario through both bundled storage
-engines.  Exits non-zero on any violated invariant.
+The database is a temporary file, deleted on exit.  Exits non-zero on
+any violated invariant.
 
 Run::
 
     PYTHONPATH=src python examples/metrics_scrape_smoke.py
-    NEBULA_BACKEND=sqlite-memory PYTHONPATH=src \
-        python examples/metrics_scrape_smoke.py
 """
 
 import json
-import os
 import sys
-import tempfile
 import threading
 import time
 
@@ -38,8 +33,8 @@ from repro import (
     Nebula,
     NebulaConfig,
     ServiceConfig,
+    SqliteFileBackend,
     generate_bio_database,
-    get_backend,
     parse_exposition,
     validate_exposition,
 )
@@ -52,15 +47,7 @@ SCRAPES = 3
 
 
 def main() -> int:
-    engine = os.environ.get("NEBULA_BACKEND", "sqlite-file")
-    path = None
-    if engine == "sqlite-file":
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".db", prefix="nebula-scrape-smoke-", delete=False
-        )
-        handle.close()
-        path = handle.name
-    backend = get_backend(engine, path=path)
+    backend = SqliteFileBackend.temporary()
     db = generate_bio_database(
         BioDatabaseSpec(genes=60, proteins=36, publications=240, seed=17),
         backend=backend,
@@ -170,10 +157,7 @@ def main() -> int:
     if not clean:
         failures.append("shutdown was not clean")
 
-    nebula.close()
     backend.close()
-    if path is not None and os.path.exists(path):
-        os.unlink(path)
     if failures:
         for failure in failures:
             print(f"SCRAPE SMOKE FAILURE: {failure}", file=sys.stderr)

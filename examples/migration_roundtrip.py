@@ -9,21 +9,17 @@ chain and asserts the legacy layout comes back intact (versioning
 objects gone, the materialized latest state preserved), and finally
 re-upgrades to prove the round trip is lossless.
 
-Honors ``NEBULA_BACKEND`` (``sqlite-file`` / ``sqlite-memory``) so the
-CI matrix drives the same scenario through both bundled storage engines.
-Exits non-zero on any violated invariant.
+Both databases are temporary files, deleted on exit.  Exits non-zero on
+any violated invariant.
 
 Run::
 
     PYTHONPATH=src python examples/migration_roundtrip.py
-    NEBULA_BACKEND=sqlite-memory PYTHONPATH=src python examples/migration_roundtrip.py
 """
 
-import os
 import sys
-import tempfile
 
-from repro import get_backend
+from repro import SqliteFileBackend
 from repro.versioning import (
     BASELINE_REVISION,
     CommitLog,
@@ -46,18 +42,6 @@ ATTACHMENTS = [
     (3, 2, "Gene", 2, None, "name", 1.0, "true"),
     (4, 3, "Protein", 1, 3, None, 0.6, "predicted"),
 ]
-
-
-def _open(tag):
-    engine = os.environ.get("NEBULA_BACKEND", "sqlite-file")
-    path = None
-    if engine == "sqlite-file":
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".db", prefix=f"nebula-migrate-{tag}-", delete=False
-        )
-        handle.close()
-        path = handle.name
-    return get_backend(engine, path=path), path
 
 
 def _seed_rows(connection):
@@ -88,8 +72,8 @@ def _fail(message):
 
 
 def main() -> int:
-    legacy_backend, legacy_path = _open("legacy")
-    fresh_backend, fresh_path = _open("fresh")
+    legacy_backend = SqliteFileBackend.temporary()
+    fresh_backend = SqliteFileBackend.temporary()
     try:
         # --- the seed-era world -------------------------------------
         legacy = legacy_backend.primary
@@ -157,7 +141,7 @@ def main() -> int:
 
         print(
             "migration roundtrip ok: "
-            f"engine={os.environ.get('NEBULA_BACKEND', 'sqlite-file')} "
+            f"engine={legacy_backend.name} "
             f"chain={[m.revision for m in MIGRATIONS]} "
             f"annotations={len(ANNOTATIONS)} attachments={len(ATTACHMENTS)}"
         )
@@ -165,9 +149,6 @@ def main() -> int:
     finally:
         legacy_backend.close()
         fresh_backend.close()
-        for path in (legacy_path, fresh_path):
-            if path is not None and os.path.exists(path):
-                os.unlink(path)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ def main() -> None:
     #    on structured tracing (spans exported to the given JSONL file).
     trace_path = os.environ.get("NEBULA_TRACE")
     nebula = Nebula(
-        db.connection,
+        db.backend,
         db.meta,
         NebulaConfig(
             epsilon=0.6,

@@ -7,19 +7,15 @@ queue) with searches (served by concurrent readers).  Asserts the
 closed-world accounting — every request either acknowledged, failed, or
 rejected, none lost — and a clean, bounded shutdown.
 
-Honors ``NEBULA_BACKEND`` (``sqlite-file`` / ``sqlite-memory``) so the
-CI matrix drives the same scenario through both bundled storage engines.
-Exits non-zero on any violated invariant.
+The database is a temporary file, deleted on exit.  Exits non-zero on
+any violated invariant.
 
 Run::
 
     PYTHONPATH=src python examples/service_smoke.py
-    NEBULA_BACKEND=sqlite-memory PYTHONPATH=src python examples/service_smoke.py
 """
 
-import os
 import sys
-import tempfile
 import threading
 
 from repro import (
@@ -28,8 +24,8 @@ from repro import (
     Nebula,
     NebulaConfig,
     ServiceConfig,
+    SqliteFileBackend,
     generate_bio_database,
-    get_backend,
 )
 from repro.errors import ServiceOverloadedError
 
@@ -38,15 +34,7 @@ REQUESTS_PER_CLIENT = 8
 
 
 def main() -> int:
-    engine = os.environ.get("NEBULA_BACKEND", "sqlite-file")
-    path = None
-    if engine == "sqlite-file":
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".db", prefix="nebula-service-smoke-", delete=False
-        )
-        handle.close()
-        path = handle.name
-    backend = get_backend(engine, path=path)
+    backend = SqliteFileBackend.temporary()
     db = generate_bio_database(
         BioDatabaseSpec(genes=60, proteins=36, publications=240, seed=13),
         backend=backend,
@@ -128,10 +116,7 @@ def main() -> int:
     if len(found) != stored:
         failures.append(f"readers see {len(found)} annotations, acked {stored}")
 
-    nebula.close()
     backend.close()
-    if path is not None and os.path.exists(path):
-        os.unlink(path)
     if failures:
         for failure in failures:
             print(f"SMOKE FAILURE: {failure}", file=sys.stderr)

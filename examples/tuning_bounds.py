@@ -51,7 +51,7 @@ def main() -> None:
     db = generate_bio_database(
         BioDatabaseSpec(genes=400, proteins=240, publications=1000, seed=5)
     )
-    nebula = Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6),
+    nebula = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6),
                     aliases=db.aliases)
 
     print("building D_Training (distorted to delta = 1)...")

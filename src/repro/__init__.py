@@ -9,9 +9,10 @@ Quickstart::
         BioDatabaseSpec, Nebula, NebulaConfig, generate_bio_database,
     )
 
+    # A temporary WAL database file, deleted when db.backend closes.
     db = generate_bio_database(BioDatabaseSpec(genes=120, proteins=70,
                                                publications=600))
-    nebula = Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6),
+    nebula = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6),
                     aliases=db.aliases)
     gene = db.genes[0]
     report = nebula.insert_annotation(
@@ -49,11 +50,7 @@ from .storage import (
     ConnectionPool,
     Dialect,
     SqliteFileBackend,
-    SqliteMemoryBackend,
-    StorageBackend,
     get_backend,
-    register_backend,
-    wrap_connection,
 )
 from .observability import (
     EventLog,
@@ -184,15 +181,11 @@ __all__ = [
     "ServiceUnavailableError",
     "DeadlineExceededError",
     # storage layer
-    "StorageBackend",
     "ConnectionPool",
     "Dialect",
     "SQLITE_DIALECT",
     "SqliteFileBackend",
-    "SqliteMemoryBackend",
     "get_backend",
-    "register_backend",
-    "wrap_connection",
     # observability layer
     "Tracer",
     "NoopTracer",

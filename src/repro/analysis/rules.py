@@ -663,9 +663,9 @@ def _is_resource_call(node: ast.expr) -> Optional[str]:
     """The resource kind when ``node`` opens a storage handle.
 
     Recognized shapes: driver connects (``sqlite3.connect(...)`` and the
-    compatibility adapter's ``compat.connect(...)`` /
-    ``open_memory_connection()``), ``.cursor()``, and the backend layer's
-    leases — ``<pool-ish>.acquire(...)`` / ``<pool-ish>.open_reader()``.
+    compatibility adapter's ``compat.connect(...)``), ``.cursor()``, and
+    the backend layer's leases — ``<pool-ish>.acquire(...)`` /
+    ``<pool-ish>.open_reader()``.
     The service layer's reader-ladder helpers (``acquire_reader`` /
     ``_acquire_reader``) count on *any* receiver: the name alone marks
     the result as a held read handle that must be released.
@@ -686,8 +686,6 @@ def _is_resource_call(node: ast.expr) -> Optional[str]:
             ast.unparse(func.value)
         ):
             return "lease" if func.attr == "acquire" else "reader"
-    elif isinstance(func, ast.Name) and func.id == "open_memory_connection":
-        return "connect"
     return None
 
 
@@ -808,7 +806,7 @@ def check_driver_imports(ctx: ModuleContext) -> Iterator[Finding]:
             ),
             fix_hint=(
                 "import Connection/Cursor/connect from repro.storage.compat "
-                "(or take a StorageBackend handle) instead of sqlite3"
+                "(or take a SqliteFileBackend handle) instead of sqlite3"
             ),
             snippet=ctx.snippet(node.lineno),
             details={"module": imported},

@@ -55,7 +55,11 @@ def propagate(
     store = AnnotationStore(connection)
     canonical = store.validate_table(table)
     projected = list(columns)
-    select_list = ", ".join(quote_identifier(c) for c in projected)
+    # A quoted "*" would name no column, and SQLite reads an unknown
+    # double-quoted identifier as a string literal.
+    select_list = ", ".join(
+        "*" if c.strip() == "*" else quote_identifier(c) for c in projected
+    )
     sql = f"SELECT rowid, {select_list} FROM {quote_identifier(canonical)}"
     if where:
         # The propagate() API accepts a raw WHERE clause with bound

@@ -53,7 +53,7 @@ from .observability import (
     set_metrics,
     validate_trace_file,
 )
-from .storage import get_backend
+from .storage import SqliteFileBackend, get_backend
 from .types import TupleRef
 
 
@@ -121,10 +121,9 @@ def _open_engine(
     trace: bool = False,
     persist_metrics: bool = False,
 ) -> Nebula:
-    # The CLI always operates on a database file, so the engine choice is
-    # pinned to the file backend; the backend is surfaced on the returned
-    # engine (``nebula.backend``) and closing it releases every handle —
-    # the connection opened here can no longer leak past the command.
+    # The backend is surfaced on the returned engine (``nebula.backend``)
+    # and closing it releases every handle — the connection opened here
+    # can no longer leak past the command.
     config = NebulaConfig(
         epsilon=epsilon,
         tracing=trace,
@@ -150,15 +149,11 @@ def _open_engine(
         # same restored registry the engine will snapshot.
         metrics = _load_metrics(path)
         set_metrics(metrics)
-    return Nebula(
-        backend.primary, meta, config, aliases=aliases, metrics=metrics,
-        backend=backend,
-    )
+    return Nebula(backend, meta, config, aliases=aliases, metrics=metrics)
 
 
 def _close_engine(nebula: Nebula) -> None:
-    """Release the engine plus its storage backend (every connection)."""
-    nebula.close()
+    """Release the engine's storage backend (every connection)."""
     nebula.backend.close()
 
 
@@ -404,21 +399,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    db = generate_bio_database(
-        BioDatabaseSpec(genes=100, proteins=60, publications=400, seed=args.seed)
-    )
-    nebula = Nebula(
-        db.connection, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
-    )
-    gene, other = db.genes[0], db.genes[1]
-    text = f"From the exp, this gene is correlated to gene {other.gid}."
-    print(f"inserting: {text!r} (attached to {gene.gid})")
-    report = nebula.insert_annotation(
-        text, attach_to=[db.resolve("gene", gene.gid)], author="demo"
-    )
-    for task in report.tasks:
-        print(f"  {task.ref} confidence={task.confidence:.2f} -> {task.decision.value}")
-    nebula.close()
+    with SqliteFileBackend.temporary() as backend:
+        db = generate_bio_database(
+            BioDatabaseSpec(genes=100, proteins=60, publications=400, seed=args.seed),
+            backend=backend,
+        )
+        nebula = Nebula(
+            backend, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
+        )
+        gene, other = db.genes[0], db.genes[1]
+        text = f"From the exp, this gene is correlated to gene {other.gid}."
+        print(f"inserting: {text!r} (attached to {gene.gid})")
+        report = nebula.insert_annotation(
+            text, attach_to=[db.resolve("gene", gene.gid)], author="demo"
+        )
+        for task in report.tasks:
+            print(f"  {task.ref} confidence={task.confidence:.2f} -> {task.decision.value}")
     return 0
 
 
@@ -1058,7 +1054,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     migrate.set_defaults(func=cmd_migrate)
 
-    demo = sub.add_parser("demo", help="run a tiny in-memory end-to-end demo")
+    demo = sub.add_parser(
+        "demo", help="run a tiny end-to-end demo on a temporary database file"
+    )
     demo.add_argument("--seed", type=int, default=7)
     demo.set_defaults(func=cmd_demo)
 

@@ -19,16 +19,11 @@ mirror the paper's symbols:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .errors import ConfigurationError
 from .resilience.faults import FaultInjector
-
-
-#: SQLite journal modes a file backend may be configured with.
-JOURNAL_MODES = frozenset(
-    {"wal", "delete", "truncate", "persist", "memory", "off"}
-)
+from .storage.backends import JOURNAL_MODES
 
 
 def _require(condition: bool, message: str) -> None:
@@ -73,10 +68,9 @@ class NebulaConfig:
     focal_adjustment: bool = True
     #: Enable shared execution of the generated SQL queries (§6, Fig. 13).
     shared_execution: bool = False
-    #: Name of the storage backend to construct when the engine opens its
-    #: own database (see :mod:`repro.storage.registry`): ``"sqlite-file"``
-    #: or ``"sqlite-memory"``, plus anything registered at runtime.
-    storage_backend: str = "sqlite-file"
+    #: The storage engine :func:`repro.storage.get_backend` opens: the
+    #: only one, a WAL database file.  A constant, not a field.
+    storage_backend: ClassVar[str] = "sqlite-file"
     #: Connection-pool size of the storage backend (auxiliary handles
     #: leased by tools and readers; the primary is not pooled).
     pool_size: int = 4
@@ -159,7 +153,6 @@ class NebulaConfig:
         _require(
             self.index_page_cache_size >= 0, "index_page_cache_size must be >= 0"
         )
-        _require(bool(self.storage_backend), "storage_backend must be non-empty")
         _require(self.pool_size >= 1, "pool_size must be >= 1")
         _require(
             self.journal_mode in JOURNAL_MODES,

@@ -27,7 +27,7 @@ from ..annotations.commands import CommandProcessor, CommandResult
 from ..annotations.engine import AnnotationManager
 from ..annotations.store import Annotation
 from ..config import NebulaConfig
-from ..errors import PipelineStageError
+from ..errors import PipelineStageError, StorageError
 from ..meta.repository import NebulaMeta
 from ..observability import (
     NOOP_TRACER,
@@ -54,7 +54,7 @@ from ..resilience import (
 from ..resilience.degradation import logger as _resilience_logger
 from ..search.engine import KeywordSearchEngine, SearchResult, SearchScope
 from ..search.persist import PersistentValueIndex
-from ..storage.backends import StorageBackend, as_backend
+from ..storage.backends import SqliteFileBackend
 from ..storage.compat import Connection
 from ..types import CellRef, ScoredTuple, TupleRef
 from ..versioning import CommitLog
@@ -65,6 +65,23 @@ from .shared_execution import SharedExecutor
 from .spam import SpamGuard, SpamVerdict, count_searchable_tuples
 from .spreading import select_radius, spreading_scope
 from .verification import VerificationQueue, VerificationTask
+
+
+def _storage_backend(
+    storage: object, backend: Optional[SqliteFileBackend]
+) -> SqliteFileBackend:
+    """The backend of ``Nebula(backend, ...)``, or of the older spelling
+    ``Nebula(backend.primary, ..., backend=backend)``."""
+    if backend is None and isinstance(storage, SqliteFileBackend):
+        return storage
+    if backend is not None and storage is backend.primary:
+        return backend
+    raise StorageError(
+        "Nebula takes a storage backend as its first argument (or b.primary "
+        f"with backend=b), got {type(storage).__name__}; open one with "
+        "get_backend('sqlite-file', path=...) or SqliteFileBackend.temporary() "
+        "and pass it: Nebula(backend, meta, ...)"
+    )
 
 
 def _decision_counts(tasks: Sequence[VerificationTask]) -> Dict[str, int]:
@@ -128,25 +145,20 @@ class Nebula:
 
     def __init__(
         self,
-        connection: Union[Connection, StorageBackend],
+        storage: Union[SqliteFileBackend, Connection],
         meta: NebulaMeta,
         config: Optional[NebulaConfig] = None,
         aliases: Optional[Dict[str, Tuple[str, Optional[str]]]] = None,
         build_acg: bool = True,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        backend: Optional[StorageBackend] = None,
+        backend: Optional[SqliteFileBackend] = None,
     ) -> None:
         self.meta = meta
         self.config = config or NebulaConfig()
-        #: The engine's storage backend.  A raw driver connection (the
-        #: historical construction) is wrapped in the compatibility
-        #: adapter; the engine then owns the adapter but never the
-        #: caller's connection.  A backend passed explicitly stays owned
-        #: by its creator.
-        source: object = backend if backend is not None else connection
-        self.backend = as_backend(source, pool_size=self.config.pool_size)
-        self._owns_backend = self.backend is not source
+        #: The engine's storage backend, passed as ``storage``; it stays
+        #: owned (and closed) by its creator.
+        self.backend = _storage_backend(storage, backend)
         self.dialect = self.backend.dialect
         self.connection = self.backend.primary
         connection = self.connection
@@ -958,15 +970,6 @@ class Nebula:
         buckets, unreachable = profile_snapshot
         self.profile.buckets = dict(buckets)
         self.profile.unreachable = unreachable
-
-    def close(self) -> None:
-        """Release the internally created compatibility adapter when the
-        engine was constructed from a raw connection (the caller's
-        connection itself stays open — the historical ownership
-        contract).  A backend passed in explicitly is left to its
-        creator."""
-        if self._owns_backend:
-            self.backend.close()
 
     def reprocess_dead_letters(
         self, limit: Optional[int] = None

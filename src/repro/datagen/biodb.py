@@ -28,8 +28,8 @@ from ..annotations.engine import AnnotationManager
 from ..meta.concepts import ConceptRef
 from ..meta.ontology import Ontology
 from ..meta.repository import NebulaMeta
-from ..storage.backends import StorageBackend
-from ..storage.compat import Connection, open_memory_connection
+from ..storage.backends import SqliteFileBackend
+from ..storage.compat import Connection
 from ..types import CellRef, TupleRef
 from ..utils.rng import make_rng
 from .text import EmbeddedReference, TextSynthesizer
@@ -121,6 +121,9 @@ class BioDatabase:
     manager: AnnotationManager
     meta: NebulaMeta
     truths: Dict[int, PublicationTruth] = field(default_factory=dict)
+    #: The backend holding the data; None when the caller passed only a
+    #: connection (the caller then owns the database).
+    backend: Optional[SqliteFileBackend] = None
     _gene_by_key: Dict[str, GeneRecord] = field(default_factory=dict)
     _protein_by_key: Dict[str, ProteinRecord] = field(default_factory=dict)
 
@@ -192,21 +195,24 @@ class BioDatabase:
 def generate_bio_database(
     spec: Optional[BioDatabaseSpec] = None,
     connection: Optional[Connection] = None,
-    backend: Optional[StorageBackend] = None,
+    backend: Optional[SqliteFileBackend] = None,
 ) -> BioDatabase:
     """Generate the full synthetic annotated database.
 
     The data lands on ``backend``'s primary connection when one is given,
-    on ``connection`` otherwise, and on a fresh private in-memory SQLite
-    database when neither is.  The returned :class:`BioDatabase` carries
-    the oracle (per-publication ground truth), a bootstrapped
-    :class:`NebulaMeta`, and the passive annotation manager holding the
-    ideal attachment set.
+    on ``connection`` otherwise, and on a fresh temporary database
+    (:meth:`SqliteFileBackend.temporary`, deleted when
+    ``database.backend`` closes) when neither is.  The returned
+    :class:`BioDatabase` carries the oracle (per-publication ground
+    truth), a bootstrapped :class:`NebulaMeta`, and the passive
+    annotation manager holding the ideal attachment set.
     """
     spec = spec or BioDatabaseSpec()
     if backend is not None:
         connection = backend.primary
-    connection = connection or open_memory_connection()
+    elif connection is None:
+        backend = SqliteFileBackend.temporary()
+        connection = backend.primary
     connection.executescript(_DDL)
 
     vocab = VocabularyBuilder(make_rng(spec.seed, "vocab"))
@@ -233,6 +239,7 @@ def generate_bio_database(
         protein_rowids=protein_rowids,
         manager=manager,
         meta=meta,
+        backend=backend,
         _gene_by_key={g.gid: g for g in genes},
         _protein_by_key={p.pid: p for p in proteins},
     )

@@ -347,9 +347,7 @@ class AnnotationService:
         """
         with self.tracer.span("service.recover") as span:
             self.nebula.connection.rollback()
-            checkpoint = getattr(self.backend, "checkpoint", None)
-            if callable(checkpoint):
-                checkpoint()
+            self.backend.checkpoint()
             # Log-parity check: the materialized head tables must equal
             # the pure-history reconstruction through the current-version
             # views.  They commit atomically, so a mismatch means torn
@@ -958,11 +956,11 @@ class AnnotationService:
         try:
             return fn(handle.connection)
         except Error as error:
-            # Shared-cache readers (the memory engine has no WAL) take
-            # table-level locks: a read overlapping the writer's open
-            # transaction raises ``database table is locked`` instead of
-            # blocking.  Serialize this one read against the writer on
-            # the primary connection and retry.
+            # A WAL reader does not wait on the writer, but it can still
+            # meet a transient lock that outlasts the busy timeout (a
+            # TRUNCATE checkpoint, WAL recovery after a crash).
+            # Serialize this one read against the writer on the primary
+            # connection and retry.
             if handle.connection is self.nebula.connection:
                 raise
             if not is_transient_operational_error(error):
@@ -981,19 +979,18 @@ class AnnotationService:
     def _acquire_reader(self) -> _ReadHandle:
         """A connection safe for reads concurrent with the writer.
 
-        The ladder: a read-only reader connection; then (reader outage,
-        or an engine without readers) a pooled read-write handle used
-        read-only; then, last resort, the primary connection serialized
-        against the writer by the write lock.  Every step down is
-        recorded as :data:`SERVICE_READER_FALLBACK`.
+        The ladder: a read-only reader connection; then, on a reader
+        outage, a pooled read-write handle used read-only; then, when the
+        pool is exhausted too, the primary connection serialized against
+        the writer by the write lock.  Every step down is recorded as
+        :data:`SERVICE_READER_FALLBACK`.
         """
         try:
             if self._faults is not None:
                 # Reader-outage chaos point.
                 self._faults.check("service.reader")
             reader = self.backend.open_reader()
-            if reader is not None:
-                return _ReadHandle(reader, reader.close)
+            return _ReadHandle(reader, reader.close)
         except Exception as error:
             _logger.warning("service reader unavailable, degrading: %s", error)
         self._m_reader_fallbacks.inc()
@@ -1002,8 +999,8 @@ class AnnotationService:
             lease = self.backend.acquire(timeout=self.config.flush_interval)
             return _ReadHandle(lease.connection, lease.release)
         except (StorageError, Error):
-            # No pool either (e.g. a private in-memory database): use
-            # the primary, serialized against the writer's flushes.
+            # Pool exhausted (PoolExhaustedError) or unusable: use the
+            # primary, serialized against the writer's flushes.
             self._write_lock.acquire()
             return _ReadHandle(self.nebula.connection, self._write_lock.release)
 

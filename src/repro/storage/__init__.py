@@ -1,51 +1,28 @@
-"""The storage backend layer.
+"""The storage layer.
 
 Everything below the annotation pipeline that touches a database driver
 lives here: the :mod:`sqlite3` compatibility adapter
 (:mod:`repro.storage.compat` — the package's single driver import), the
-SQL :class:`Dialect`, the thread-safe :class:`ConnectionPool`, the
-concrete engines (:class:`SqliteFileBackend`, :class:`SqliteMemoryBackend`,
-:class:`RawConnectionBackend`), and the name-based registry
-(:func:`get_backend` / :func:`register_backend`).
+SQL :class:`Dialect`, the thread-safe :class:`ConnectionPool`, and the
+one engine, :class:`SqliteFileBackend` (a WAL database file), opened by
+name through :func:`get_backend`.
 
-See docs/storage.md for the protocol contract and how to add an engine.
+See docs/storage.md for the engine's contract.
 """
 
-from .backends import (
-    RawConnectionBackend,
-    SqliteFileBackend,
-    SqliteMemoryBackend,
-    StorageBackend,
-    as_backend,
-    wrap_connection,
-)
-from .compat import Connection, Cursor, database_path
+from .backends import SqliteFileBackend, get_backend
+from .compat import Connection, Cursor
 from .dialect import SQLITE_DIALECT, Dialect
 from .pool import ConnectionPool, PooledConnection, PoolStats
-from .registry import (
-    BackendFactory,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 
 __all__ = [
     "Connection",
     "Cursor",
-    "database_path",
     "Dialect",
     "SQLITE_DIALECT",
     "ConnectionPool",
     "PooledConnection",
     "PoolStats",
-    "StorageBackend",
     "SqliteFileBackend",
-    "SqliteMemoryBackend",
-    "RawConnectionBackend",
-    "as_backend",
-    "wrap_connection",
-    "BackendFactory",
-    "available_backends",
     "get_backend",
-    "register_backend",
 ]

@@ -18,7 +18,7 @@ Centralizing the driver import buys two things:
 from __future__ import annotations
 
 import sqlite3
-from typing import Optional, Union
+from typing import Union
 
 #: The DB-API connection type every layer annotates against.
 Connection = sqlite3.Connection
@@ -51,17 +51,3 @@ def connect(
     return sqlite3.connect(
         database, uri=uri, timeout=timeout, check_same_thread=check_same_thread
     )
-
-
-def open_memory_connection() -> Connection:
-    """A private in-memory database (visible only to this connection)."""
-    return sqlite3.connect(":memory:")
-
-
-def database_path(connection: Connection) -> Optional[str]:
-    """Filesystem path of ``connection``'s main database, or None for
-    in-memory / temporary databases."""
-    for _seq, name, path in connection.execute("PRAGMA database_list"):
-        if name == "main":
-            return str(path) if path else None
-    return None

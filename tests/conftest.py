@@ -9,14 +9,17 @@ Two database worlds are used throughout the tests:
 * ``bio_db`` / ``bio_nebula`` — a small synthetic generated database
   (module-scoped), for integration-level tests that need organic
   co-annotation structure.
+
+Every world is a WAL database file on the one storage engine
+(:class:`~repro.storage.SqliteFileBackend`): fixtures put it under
+``tmp_path``, the ``build_figure1_*`` helpers in a temporary directory removed
+at session end.
 """
 
 from __future__ import annotations
 
-import os
 import sqlite3
-import tempfile
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import pytest
 
@@ -28,6 +31,7 @@ from repro import (
     NebulaConfig,
     NebulaMeta,
     Ontology,
+    SqliteFileBackend,
     ValuePattern,
     generate_bio_database,
     get_backend,
@@ -53,47 +57,32 @@ FIGURE1_PROTEINS = [
 ]
 
 
-#: Backends created for builder-style callers, closed at session end
-#: (with the throwaway database file, for the file engine).
-_SESSION_BACKENDS: List[Tuple[object, Optional[str]]] = []
-
-
-def _engine_connection() -> sqlite3.Connection:
-    """A fresh empty database on the engine pinned by ``NEBULA_BACKEND``.
-
-    The CI matrix sets the variable, routing every builder-based test
-    through the named storage backend; unset, tests keep the historical
-    private in-memory database.
-    """
-    pinned = os.environ.get("NEBULA_BACKEND")
-    if not pinned:
-        return sqlite3.connect(":memory:")
-    path: Optional[str] = None
-    if pinned == "sqlite-file":
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".db", prefix="nebula-test-", delete=False
-        )
-        handle.close()
-        path = handle.name
-    backend = get_backend(pinned, path=path)
-    _SESSION_BACKENDS.append((backend, path))
-    return backend.primary
+#: Backends created by the ``build_figure1_*`` helpers, closed (which
+#: removes their temporary directories) at session end.
+_SESSION_BACKENDS: List[SqliteFileBackend] = []
 
 
 def pytest_sessionfinish(session, exitstatus):
-    for backend, path in _SESSION_BACKENDS:
-        backend.close()  # type: ignore[attr-defined]
-        if path is not None and os.path.exists(path):
-            os.unlink(path)
+    for backend in _SESSION_BACKENDS:
+        backend.close()
     _SESSION_BACKENDS.clear()
+
+
+def build_figure1_backend() -> SqliteFileBackend:
+    """A temporary database holding the Figure-1 schema and rows."""
+    backend = SqliteFileBackend.temporary()
+    _SESSION_BACKENDS.append(backend)
+    build_figure1_connection(backend.primary)
+    return backend
 
 
 def build_figure1_connection(
     connection: Optional[sqlite3.Connection] = None,
 ) -> sqlite3.Connection:
-    """Populate the Figure-1 schema on ``connection`` (a fresh database
-    on the ``NEBULA_BACKEND`` engine when omitted)."""
-    connection = connection or _engine_connection()
+    """Populate the Figure-1 schema on ``connection`` (the primary of a
+    fresh :func:`build_figure1_backend` when omitted)."""
+    if connection is None:
+        return build_figure1_backend().primary
     connection.executescript(
         """
         CREATE TABLE Gene (
@@ -156,34 +145,29 @@ def build_figure1_meta(lexicon: Optional[Lexicon] = None) -> NebulaMeta:
     return meta
 
 
-def _backend_params() -> list:
-    """Engines the parametrized fixtures run against.
-
-    ``NEBULA_BACKEND`` (the CI matrix axis) pins a single engine; with
-    it unset every backend-parametrized test runs against both bundled
-    engines.
-    """
-    pinned = os.environ.get("NEBULA_BACKEND")
-    return [pinned] if pinned else ["sqlite-file", "sqlite-memory"]
-
-
-@pytest.fixture(params=_backend_params())
+@pytest.fixture(params=["sqlite-file"])
 def storage_backend(request, tmp_path):
-    """A fresh storage backend of each bundled engine."""
+    """A fresh storage backend under ``tmp_path``.
+
+    The single ``sqlite-file`` param keeps the ``[sqlite-file]`` test ids
+    the suite reported when it also ran on a memory engine.
+    """
     backend = get_backend(request.param, path=str(tmp_path / "backend.db"))
     yield backend
     backend.close()
 
 
 @pytest.fixture
-def figure1_connection(storage_backend):
-    """The Figure-1 database on every bundled storage engine.
+def figure1_backend(storage_backend):
+    """The Figure-1 database on ``storage_backend``."""
+    build_figure1_connection(storage_backend.primary)
+    return storage_backend
 
-    Yields the backend's primary connection, so the historical
-    connection-shaped fixture keeps working while the data actually
-    lives behind a pluggable engine; the backend fixture closes it.
-    """
-    yield build_figure1_connection(storage_backend.primary)
+
+@pytest.fixture
+def figure1_connection(figure1_backend):
+    """The primary connection of ``figure1_backend``."""
+    return figure1_backend.primary
 
 
 @pytest.fixture
@@ -202,18 +186,9 @@ SMALL_SPEC = BioDatabaseSpec(genes=80, proteins=48, publications=400, seed=7)
 
 @pytest.fixture(scope="module")
 def bio_db(tmp_path_factory):
-    """A small generated bio-database (module-scoped: ~0.5 s to build).
-
-    Honors ``NEBULA_BACKEND`` so the CI matrix drives the integration
-    tests through each engine; unset, it keeps the historical private
-    in-memory database.
-    """
-    pinned = os.environ.get("NEBULA_BACKEND")
-    if not pinned:
-        yield generate_bio_database(SMALL_SPEC)
-        return
+    """A small generated bio-database (module-scoped: ~0.5 s to build)."""
     path = tmp_path_factory.mktemp("bio") / "bio.db"
-    with get_backend(pinned, path=str(path)) as backend:
+    with get_backend("sqlite-file", path=str(path)) as backend:
         yield generate_bio_database(SMALL_SPEC, backend=backend)
 
 
@@ -226,7 +201,7 @@ def bio_nebula(bio_db):
     must not assume pristine stores.
     """
     return Nebula(
-        bio_db.connection,
+        bio_db.backend,
         bio_db.meta,
         NebulaConfig(epsilon=0.6),
         aliases=bio_db.aliases,

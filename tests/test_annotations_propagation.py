@@ -64,6 +64,7 @@ class TestPropagate:
         connection, *_ = world
         rows = propagate(connection, "Gene")
         assert len(rows) == 7
+        assert rows[0].values == ("JW0013", "grpC", 1130, "TGCT", "F1")
         # Every row sees the column-level note under a * projection.
         assert all(
             "column note" in {text for text, _ in row.annotations} for row in rows

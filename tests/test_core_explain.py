@@ -6,18 +6,17 @@ from repro import Nebula, NebulaConfig
 from repro.core.explain import decode_evidence, explain_task, _context_window
 from repro.core.verification import Decision
 
-from conftest import build_figure1_connection, build_figure1_meta
+from conftest import build_figure1_backend, build_figure1_meta
 
 
 @pytest.fixture
 def world():
-    connection = build_figure1_connection()
     nebula = Nebula(
-        connection,
+        build_figure1_backend(),
         build_figure1_meta(),
         NebulaConfig(epsilon=0.6, beta_lower=0.01, beta_upper=0.999),
     )
-    return connection, nebula
+    return nebula.connection, nebula
 
 
 class TestDecodeEvidence:

@@ -5,7 +5,6 @@ import pytest
 from repro import Nebula, NebulaConfig, generate_bio_database
 from repro.core.verification import Decision
 from repro.datagen.biodb import BioDatabaseSpec
-from repro.types import TupleRef
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +16,7 @@ def db():
 
 @pytest.fixture()
 def nebula(db):
-    return Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases)
+    return Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases)
 
 
 class TestAnalyze:
@@ -98,7 +97,7 @@ class TestInsertAnnotation:
         # land in the pending band; force one by inserting with tight
         # bounds via config.
         tight = Nebula(
-            db.connection,
+            db.backend,
             db.meta,
             NebulaConfig(epsilon=0.6, beta_lower=0.01, beta_upper=0.999),
             aliases=db.aliases,
@@ -118,7 +117,7 @@ class TestInsertAnnotation:
 
     def test_stability_tracker_advances(self, db):
         nebula = Nebula(
-            db.connection,
+            db.backend,
             db.meta,
             NebulaConfig(epsilon=0.6, batch_size=2),
             aliases=db.aliases,
@@ -154,5 +153,5 @@ class TestEngineSetup:
         assert nebula.acg.edge_count > 0
 
     def test_acg_skippable(self, db):
-        bare = Nebula(db.connection, db.meta, build_acg=False)
+        bare = Nebula(db.backend, db.meta, build_acg=False)
         assert bare.acg.node_count == 0

@@ -156,7 +156,7 @@ class TestSpamGuardIntegration:
         from repro import Nebula, NebulaConfig
 
         nebula = Nebula(
-            bio_db.connection, bio_db.meta, NebulaConfig(epsilon=0.6),
+            bio_db.backend, bio_db.meta, NebulaConfig(epsilon=0.6),
             aliases=bio_db.aliases,
         )
         # Tighten the guard so a moderately broad annotation trips it.

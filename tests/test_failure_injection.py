@@ -17,7 +17,7 @@ from repro.datagen.stats import collect_stats
 from repro.search.engine import KeywordQuery, KeywordSearchEngine
 from repro.types import CellRef, TupleRef
 
-from conftest import build_figure1_connection, build_figure1_meta
+from conftest import build_figure1_backend, build_figure1_connection, build_figure1_meta
 
 
 class TestDanglingState:
@@ -52,8 +52,7 @@ class TestDanglingState:
 
 class TestEmptyWorlds:
     def test_nebula_with_conceptless_meta(self):
-        connection = build_figure1_connection()
-        nebula = Nebula(connection, NebulaMeta(), NebulaConfig())
+        nebula = Nebula(build_figure1_backend(), NebulaMeta(), NebulaConfig())
         report = nebula.analyze("gene JW0014 appears here")
         # No concepts -> no maps -> no queries -> no candidates. No crash.
         assert report.generation.queries == []
@@ -101,24 +100,21 @@ class TestMalformedInputs:
             )
 
     def test_verification_status_check_constraint(self):
-        connection = build_figure1_connection()
-        nebula = Nebula(connection, build_figure1_meta(), NebulaConfig())
+        nebula = Nebula(build_figure1_backend(), build_figure1_meta(), NebulaConfig())
         with pytest.raises(sqlite3.IntegrityError):
-            connection.execute(
+            nebula.connection.execute(
                 "INSERT INTO _nebula_verification_tasks "
                 "(annotation_id, target_table, target_rowid, confidence, "
                 "evidence, status) VALUES (1, 'Gene', 1, 0.5, '', 'weird')"
             )
 
     def test_annotation_with_only_punctuation(self):
-        connection = build_figure1_connection()
-        nebula = Nebula(connection, build_figure1_meta(), NebulaConfig())
+        nebula = Nebula(build_figure1_backend(), build_figure1_meta(), NebulaConfig())
         report = nebula.analyze("... !!! ???")
         assert report.candidates == []
 
     def test_annotation_with_unicode(self):
-        connection = build_figure1_connection()
-        nebula = Nebula(connection, build_figure1_meta(), NebulaConfig())
+        nebula = Nebula(build_figure1_backend(), build_figure1_meta(), NebulaConfig())
         report = nebula.analyze("gene JW0014 étudié 研究 🚀")
         # The reference still resolves despite surrounding non-ASCII
         # (accented/CJK words tokenize into fragments that map to nothing).
@@ -127,17 +123,17 @@ class TestMalformedInputs:
 
 class TestConcurrentEngines:
     def test_two_engines_one_connection(self):
-        """Two Nebula instances over the same connection share state via
+        """Two Nebula instances over the same backend share state via
         SQLite; the second sees the first's insertions."""
-        connection = build_figure1_connection()
+        backend = build_figure1_backend()
         meta = build_figure1_meta()
-        first = Nebula(connection, meta, NebulaConfig())
-        second = Nebula(connection, meta, NebulaConfig())
+        first = Nebula(backend, meta, NebulaConfig())
+        second = Nebula(backend, meta, NebulaConfig())
         report = first.insert_annotation(
             "gene JW0014 here", attach_to=[TupleRef("Gene", 1)]
         )
         assert second.manager.annotation(report.annotation_id).content
         # The second engine's ACG was built before the insert: stale by
         # design (the paper rebuilds "at once"); a fresh engine catches up.
-        third = Nebula(connection, meta, NebulaConfig())
+        third = Nebula(backend, meta, NebulaConfig())
         assert third.acg.node_count >= second.acg.node_count

@@ -36,7 +36,7 @@ def workload(db):
 
 @pytest.fixture(scope="module")
 def nebula(db):
-    return Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases)
+    return Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases)
 
 
 def _discover(nebula, annotation, delta=1, **kwargs):
@@ -72,9 +72,9 @@ class TestDiscoveryQuality:
         assert avg_queries((7, 10)) > avg_queries((1, 3))
 
     def test_epsilon_08_generates_fewer_queries(self, db, workload):
-        loose = Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6),
+        loose = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6),
                        aliases=db.aliases)
-        tight = Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.8),
+        tight = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.8),
                        aliases=db.aliases)
         loose_total = tight_total = 0
         for annotation in workload.group(1000):

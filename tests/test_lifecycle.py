@@ -10,10 +10,7 @@ These cover the operational story the paper tells:
   focal-based spreading search on its own.
 """
 
-import os
 import sqlite3
-
-import pytest
 
 from repro import (
     BioDatabaseSpec,
@@ -21,6 +18,7 @@ from repro import (
     NebulaConfig,
     generate_bio_database,
     generate_workload,
+    get_backend,
 )
 from repro.core.verification import Decision
 from repro.datagen.workload import WorkloadSpec
@@ -29,13 +27,13 @@ from repro.datagen.workload import WorkloadSpec
 class TestPersistence:
     def test_reopen_preserves_everything(self, tmp_path):
         path = str(tmp_path / "world.db")
-        connection = sqlite3.connect(path)
+        backend = get_backend("sqlite-file", path=path)
         db = generate_bio_database(
             BioDatabaseSpec(genes=60, proteins=36, publications=200, seed=23),
-            connection=connection,
+            backend=backend,
         )
         nebula = Nebula(
-            db.connection, db.meta,
+            db.backend, db.meta,
             NebulaConfig(epsilon=0.6, beta_lower=0.01, beta_upper=0.999),
             aliases=db.aliases,
         )
@@ -48,14 +46,14 @@ class TestPersistence:
         accepted_before = [t for t in report.tasks if t.decision.is_accepted]
         annotation_count = nebula.manager.store.count_annotations()
         acg_edges = nebula.acg.edge_count
-        connection.commit()
-        connection.close()
+        backend.primary.commit()
+        backend.close()
 
         # Reopen with a completely fresh engine.
-        reopened = sqlite3.connect(path)
+        reopened = get_backend("sqlite-file", path=path)
         from repro.datagen.biodb import _build_meta
 
-        meta = _build_meta(reopened)
+        meta = _build_meta(reopened.primary)
         fresh = Nebula(reopened, meta, NebulaConfig(epsilon=0.6))
         assert fresh.manager.store.count_annotations() == annotation_count
         # The ACG rebuilds from the persisted true attachments.
@@ -107,7 +105,7 @@ class TestStabilityDrivenModeSwitch:
         # A small batch size and a permissive mu: the mature ACG (built
         # from 600 publications) should register as stable quickly.
         nebula = Nebula(
-            db.connection, db.meta,
+            db.backend, db.meta,
             NebulaConfig(epsilon=0.6, batch_size=10, stability_mu=0.6),
             aliases=db.aliases,
         )
@@ -127,7 +125,7 @@ class TestStabilityDrivenModeSwitch:
         db = generate_bio_database(
             BioDatabaseSpec(genes=48, proteins=30, publications=200, seed=47)
         )
-        nebula = Nebula(db.connection, db.meta, NebulaConfig(epsilon=0.6),
+        nebula = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6),
                         aliases=db.aliases)
         genes, _ = db.community_members(0)
         focal = [db.resolve("gene", genes[0].gid)]

@@ -7,12 +7,12 @@ from repro.core.acg import HopProfile
 from repro.core.shared_execution import SharedExecutionStats
 from repro.datagen.workload import WorkloadSpec, generate_workload
 
-from conftest import build_figure1_connection, build_figure1_meta
+from conftest import build_figure1_backend, build_figure1_meta
 
 
 @pytest.fixture
 def nebula():
-    return Nebula(build_figure1_connection(), build_figure1_meta(), NebulaConfig())
+    return Nebula(build_figure1_backend(), build_figure1_meta(), NebulaConfig())
 
 
 class TestRadiusSelection:
@@ -57,7 +57,7 @@ class TestRadiusSelection:
 class TestCommandIntegration:
     def test_list_pending_via_command(self, nebula):
         tight = Nebula(
-            nebula.connection,
+            nebula.backend,
             nebula.meta,
             NebulaConfig(beta_lower=0.01, beta_upper=0.999),
         )
@@ -70,7 +70,7 @@ class TestCommandIntegration:
 
     def test_reject_via_command(self, nebula):
         tight = Nebula(
-            nebula.connection,
+            nebula.backend,
             nebula.meta,
             NebulaConfig(beta_lower=0.01, beta_upper=0.999),
         )

@@ -306,7 +306,7 @@ def traced_setup(tmp_path_factory):
     registry = MetricsRegistry()
     previous = set_metrics(registry)
     nebula = Nebula(
-        db.connection,
+        db.backend,
         db.meta,
         NebulaConfig(epsilon=0.6, tracing=True, trace_path=trace_path),
         aliases=db.aliases,
@@ -391,7 +391,7 @@ class TestDisabledByDefault:
         previous = set_metrics(registry)
         try:
             nebula = Nebula(
-                db.connection, db.meta, NebulaConfig(epsilon=0.6),
+                db.backend, db.meta, NebulaConfig(epsilon=0.6),
                 aliases=db.aliases,
             )
             assert nebula.tracer is NOOP_TRACER

@@ -42,7 +42,7 @@ def fresh_world(config=None):
     """A generated database plus an engine — deterministic per SPEC."""
     db = generate_bio_database(SPEC)
     nebula = Nebula(
-        db.connection,
+        db.backend,
         db.meta,
         config or NebulaConfig(epsilon=0.6),
         aliases=db.aliases,
@@ -187,9 +187,8 @@ class TestSharedExecutionEquivalence:
             KeywordQuery(("family", "F1"), label="q4"),
         ]
 
-    def test_scoped_group_matches_isolated_search(self, figure1_db):
-        connection, meta = figure1_db
-        nebula = Nebula(connection, meta, NebulaConfig(epsilon=0.6))
+    def test_scoped_group_matches_isolated_search(self, figure1_backend, figure1_meta):
+        nebula = Nebula(figure1_backend, figure1_meta, NebulaConfig(epsilon=0.6))
         scope = SearchScope.from_refs(
             [TupleRef("Gene", rowid) for rowid in (1, 2, 3)]
             + [TupleRef("Protein", 2)]
@@ -234,13 +233,13 @@ class TestCacheEquivalence:
     def test_cached_analysis_matches_uncached(self):
         db, _ = fresh_world()
         uncached = Nebula(
-            db.connection,
+            db.backend,
             db.meta,
             NebulaConfig(epsilon=0.6, analysis_cache_size=0),
             aliases=db.aliases,
         )
         cached = Nebula(
-            db.connection, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
+            db.backend, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
         )
         workload = generate_workload(db, WORKLOAD)
         texts = [(a.text, a.focal(1)) for a in workload.annotations[:8]]

@@ -98,7 +98,7 @@ class TestPersistParity:
         """Full Stage 1-2 parity on an organic world, both engines."""
         db = generate_bio_database(TINY_SPEC, backend=storage_backend)
         persisted = Nebula(
-            db.connection, db.meta, NebulaConfig(epsilon=0.6),
+            db.backend, db.meta, NebulaConfig(epsilon=0.6),
             aliases=db.aliases,
         )
         assert persisted.index_source == "rebuilt"
@@ -203,10 +203,8 @@ class TestStalenessDetection:
         assert len(index.lookup("JW0096")) == 1
         assert index.refresh(SEARCHABLE) is False
 
-    def test_nebula_ensure_index_fresh(self, figure1_connection):
-        nebula = Nebula(
-            figure1_connection, build_figure1_meta(), NebulaConfig()
-        )
+    def test_nebula_ensure_index_fresh(self, figure1_backend, figure1_connection):
+        nebula = Nebula(figure1_backend, build_figure1_meta(), NebulaConfig())
         assert nebula.ensure_index_fresh() is False
         figure1_connection.execute(
             "INSERT INTO Gene VALUES ('JW0095', 'svcG', 1, 'ACGT', 'F9')"

@@ -47,7 +47,7 @@ def metrics():
 @pytest.fixture()
 def nebula(db, faults, metrics):
     config = NebulaConfig(epsilon=0.6, fault_injector=faults)
-    return Nebula(db.connection, db.meta, config, aliases=db.aliases)
+    return Nebula(db.backend, db.meta, config, aliases=db.aliases)
 
 
 def snapshot(nebula):
@@ -222,7 +222,7 @@ class TestDeadLetters:
         config = NebulaConfig(
             epsilon=0.6, fault_injector=faults, dead_letters=False
         )
-        nebula = Nebula(fresh.connection, fresh.meta, config, aliases=fresh.aliases)
+        nebula = Nebula(fresh.backend, fresh.meta, config, aliases=fresh.aliases)
         faults.arm("store.add")
         with pytest.raises(PipelineStageError) as exc_info:
             sample_insert(fresh, nebula)
@@ -422,7 +422,7 @@ class TestStabilityInputs:
         receive M = |focal| + auto-accepted and N = the ACG edge delta
         across the whole pipeline (satellite 2)."""
         config = NebulaConfig(epsilon=0.6, batch_size=1)
-        nebula = Nebula(db.connection, db.meta, config, aliases=db.aliases)
+        nebula = Nebula(db.backend, db.meta, config, aliases=db.aliases)
         genes, _ = db.community_members(2)
         focal = [
             db.resolve("gene", genes[0].gid),

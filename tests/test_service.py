@@ -15,6 +15,7 @@ from repro import (
     generate_bio_database,
 )
 from repro.datagen.biodb import BioDatabaseSpec
+from repro.datagen.workload import WorkloadSpec, generate_workload
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -51,9 +52,7 @@ def metrics():
 @pytest.fixture()
 def nebula(db, storage_backend, faults, metrics):
     config = NebulaConfig(epsilon=0.6, fault_injector=faults)
-    engine = Nebula(storage_backend, db.meta, config, aliases=db.aliases)
-    yield engine
-    engine.close()
+    return Nebula(storage_backend, db.meta, config, aliases=db.aliases)
 
 
 def make_service(nebula, **overrides):
@@ -344,9 +343,9 @@ class TestReadEndpoints:
     def test_transient_lock_during_read_retries_on_primary(
         self, db, nebula, metrics
     ):
-        # Shared-cache readers (memory engine: no WAL) fail with
-        # "database table is locked" when a read overlaps the writer's
-        # open transaction; the read must retry on the primary.
+        # A reader that meets a transient lock (a checkpoint or WAL
+        # recovery outlasting the busy timeout) must retry the read on
+        # the primary.
         service = make_service(nebula).start()
         service.ingest(texts(db, 1)[0], timeout=10.0)
         seen = []
@@ -384,8 +383,7 @@ class TestReadEndpoints:
     ):
         # The writer-side shape of the race: an open transaction holds
         # the annotation table's write lock while a reader counts it.
-        # WAL readers see the committed snapshot; shared-cache readers
-        # fall back to the primary.  Either way the read completes.
+        # The WAL reader sees the committed snapshot and completes.
         service = make_service(nebula)  # deliberately not started: the
         # primary connection is free for the test to hold a transaction
         nebula.insert_annotation(
@@ -410,3 +408,50 @@ class TestReadEndpoints:
             assert 0.0 <= confidence <= 1.0
             assert rowid >= 1
         service.stop()
+
+
+class TestWritesBesideReader:
+    def test_no_write_fails_while_a_reader_runs(self, storage_backend, metrics):
+        """Service writes interleaved with a reader thread's reads all
+        land: WAL readers take no lock a write could meet."""
+        db = generate_bio_database(
+            BioDatabaseSpec(genes=80, proteins=48, publications=400, seed=3),
+            backend=storage_backend,
+        )
+        stream = generate_workload(
+            db, WorkloadSpec(sizes=(50, 100), annotations_per_band=20, seed=3)
+        )
+        nebula = Nebula(storage_backend, db.meta, NebulaConfig(), aliases=db.aliases)
+        service = AnnotationService(nebula).start()
+        stop = threading.Event()
+        reads, read_errors = [], []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    service.pending_verifications(limit=20)
+                    service.annotations_for("Gene", 1)
+                    reads.append(1)
+            except Exception as error:
+                read_errors.append(error)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        errors = []
+        try:
+            for annotation in stream.annotations:
+                ticket = service.submit(annotation.text, attach_to=annotation.focal(1))
+                try:
+                    ticket.result(10.0)
+                except Exception as error:
+                    errors.append(error)
+        finally:
+            stop.set()
+            thread.join(10.0)
+            service.stop()
+        assert not thread.is_alive()
+        assert len(stream.annotations) == 120
+        assert errors == []
+        assert read_errors == []
+        assert reads
+        assert nebula.commit_log.verify_head() is True

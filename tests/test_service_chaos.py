@@ -44,8 +44,7 @@ def metrics():
 
 @pytest.fixture()
 def file_backend(tmp_path):
-    """The chaos suite pins the file engine: WAL concurrent reads are
-    the property under test."""
+    """WAL concurrent reads are the property under test."""
     backend = get_backend("sqlite-file", path=str(tmp_path / "chaos.db"))
     yield backend
     backend.close()
@@ -68,8 +67,7 @@ def world(file_backend, faults, metrics):
         NebulaConfig(epsilon=0.6, fault_injector=faults),
         aliases=db.aliases,
     )
-    yield db, nebula
-    nebula.close()
+    return db, nebula
 
 
 def wait_until(predicate, timeout=10.0, interval=0.005):

@@ -79,7 +79,7 @@ def faults():
 @pytest.fixture()
 def nebula(db, storage_backend, faults, metrics):
     """A traced engine: the suite asserts on exported span trees."""
-    engine = Nebula(
+    return Nebula(
         storage_backend,
         db.meta,
         NebulaConfig(
@@ -90,8 +90,6 @@ def nebula(db, storage_backend, faults, metrics):
         ),
         aliases=db.aliases,
     )
-    yield engine
-    engine.close()
 
 
 def make_service(nebula, **overrides):

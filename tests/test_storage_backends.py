@@ -1,15 +1,16 @@
-"""The storage backend layer: dialect, pool, engines, registry.
+"""The storage layer: dialect, pool, the file engine, get_backend.
 
 The pipeline-facing contract (every sqlite3 call site routed through a
-:class:`StorageBackend`) is exercised indirectly by the whole suite —
-``NEBULA_BACKEND`` pins the engine it runs on.  This module tests the
-layer itself: dialect SQL construction, pool bounding/health/threading,
-engine semantics (read-only readers, shared-cache visibility, raw
-adapter ownership), and the by-name registry.
+:class:`SqliteFileBackend`) is exercised indirectly by the whole suite,
+which builds every world on that engine.  This module tests the layer
+itself: dialect SQL construction, pool bounding/health/threading, engine
+semantics (read-only readers, WAL concurrency, temporary databases), and
+the by-name constructor.
 """
 
 from __future__ import annotations
 
+import os
 import sqlite3
 import threading
 
@@ -23,14 +24,8 @@ from repro.storage import (
     ConnectionPool,
     Dialect,
     SqliteFileBackend,
-    SqliteMemoryBackend,
-    StorageBackend,
     get_backend,
-    register_backend,
-    wrap_connection,
 )
-from repro.storage.backends import RawConnectionBackend, as_backend
-from repro.storage.registry import available_backends
 
 # ----------------------------------------------------------------------
 # Dialect
@@ -182,7 +177,6 @@ class TestSqliteFileBackend:
             backend.primary.execute("INSERT INTO t VALUES (1)")
             backend.primary.commit()
             reader = backend.open_reader()
-            assert reader is not None
             assert reader.execute("SELECT x FROM t").fetchone() == (1,)
             with pytest.raises(sqlite3.OperationalError):
                 reader.execute("INSERT INTO t VALUES (2)")
@@ -211,6 +205,15 @@ class TestSqliteFileBackend:
     def test_empty_path_rejected(self):
         with pytest.raises(StorageError):
             SqliteFileBackend("")
+
+    def test_temporary_database_is_deleted_on_close(self):
+        backend = SqliteFileBackend.temporary()
+        backend.primary.execute("CREATE TABLE t (x)")
+        backend.primary.commit()
+        directory = os.path.dirname(backend.path)
+        assert os.path.exists(backend.path)
+        backend.close()
+        assert not os.path.exists(directory)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +249,6 @@ class TestWalConcurrency:
             millis = backend.primary.execute("PRAGMA busy_timeout").fetchone()[0]
             assert millis == 2500
             reader = backend.open_reader()
-            assert reader is not None
             assert reader.execute("PRAGMA busy_timeout").fetchone()[0] == 2500
             reader.close()
 
@@ -307,115 +309,27 @@ class TestWalConcurrency:
 
 
 # ----------------------------------------------------------------------
-# Memory backend
-# ----------------------------------------------------------------------
-
-
-class TestSqliteMemoryBackend:
-    def test_shared_cache_visibility_across_handles(self):
-        with SqliteMemoryBackend() as backend:
-            backend.primary.execute("CREATE TABLE t (x)")
-            backend.primary.execute("INSERT INTO t VALUES (9)")
-            backend.primary.commit()
-            reader = backend.open_reader()
-            assert reader is not None
-            assert reader.execute("SELECT x FROM t").fetchone() == (9,)
-            reader.close()
-            with backend.acquire() as connection:
-                assert connection.execute("SELECT x FROM t").fetchone() == (9,)
-
-    def test_two_backends_are_isolated(self):
-        with SqliteMemoryBackend() as first, SqliteMemoryBackend() as second:
-            first.primary.execute("CREATE TABLE only_here (x)")
-            first.primary.commit()
-            with pytest.raises(sqlite3.OperationalError):
-                second.primary.execute("SELECT * FROM only_here")
-
-
-# ----------------------------------------------------------------------
-# Raw-connection adapter
-# ----------------------------------------------------------------------
-
-
-class TestRawConnectionBackend:
-    def test_file_backed_connection_regains_readers(self, tmp_path):
-        path = str(tmp_path / "raw.db")
-        connection = sqlite3.connect(path)
-        connection.execute("CREATE TABLE t (x)")
-        connection.commit()
-        backend = wrap_connection(connection)
-        assert backend.path is not None
-        reader = backend.open_reader()
-        assert reader is not None
-        assert reader.execute("SELECT COUNT(*) FROM t").fetchone() == (0,)
-        reader.close()
-        backend.close()
-        # The wrapped connection belongs to its creator and stays usable.
-        assert connection.execute("SELECT 1").fetchone() == (1,)
-        connection.close()
-
-    def test_private_memory_connection_degrades_gracefully(self):
-        connection = sqlite3.connect(":memory:")
-        backend = wrap_connection(connection)
-        assert backend.path is None
-        assert backend.open_reader() is None
-        with pytest.raises(StorageError):
-            backend.connect()
-        backend.close()
-        connection.close()
-
-    def test_as_backend_coercions(self):
-        connection = sqlite3.connect(":memory:")
-        coerced = as_backend(connection)
-        assert isinstance(coerced, RawConnectionBackend)
-        assert coerced.primary is connection
-        with SqliteMemoryBackend() as backend:
-            assert as_backend(backend) is backend
-        with pytest.raises(StorageError):
-            as_backend(42)
-        connection.close()
-
-
-# ----------------------------------------------------------------------
-# Registry
+# get_backend: the by-name constructor
 # ----------------------------------------------------------------------
 
 
 class TestRegistry:
-    def test_bundled_backends_registered(self):
-        names = available_backends()
-        assert "sqlite-file" in names
-        assert "sqlite-memory" in names
-
     def test_get_backend_by_name(self, tmp_path):
-        with get_backend("sqlite-file", path=str(tmp_path / "a.db")) as backend:
+        with get_backend(
+            "sqlite-file", path=str(tmp_path / "a.db"), pool_size=2
+        ) as backend:
+            assert isinstance(backend, SqliteFileBackend)
             assert backend.name == "sqlite-file"
-            assert isinstance(backend, StorageBackend)
-        with get_backend("sqlite-memory") as backend:
-            assert backend.name == "sqlite-memory"
+            assert backend.pool_size == 2
 
     def test_unknown_name_lists_registered(self):
-        with pytest.raises(StorageError, match="sqlite-file"):
-            get_backend("postgres")
+        for name in ("postgres", "sqlite-memory"):
+            with pytest.raises(StorageError, match="sqlite-file"):
+                get_backend(name)
 
     def test_file_backend_requires_path(self):
         with pytest.raises(StorageError, match="path"):
             get_backend("sqlite-file")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(StorageError):
-            register_backend("sqlite-file", lambda **kw: None)
-
-    def test_custom_engine_registration(self):
-        register_backend(
-            "test-engine",
-            lambda *, path=None, pool_size=4: SqliteMemoryBackend(
-                pool_size=pool_size
-            ),
-            replace=True,
-        )
-        with get_backend("test-engine", pool_size=2) as backend:
-            assert backend.pool_size == 2
 
 
 # ----------------------------------------------------------------------
@@ -432,10 +346,6 @@ class TestConfigKnobs:
     def test_pool_size_validated(self):
         with pytest.raises(ConfigurationError):
             NebulaConfig(pool_size=0)  # nebula-lint: ignore[NBL003]
-
-    def test_storage_backend_validated(self):
-        with pytest.raises(ConfigurationError):
-            NebulaConfig(storage_backend="")
 
     def test_journal_mode_and_busy_timeout_defaults(self):
         config = NebulaConfig()
@@ -459,41 +369,23 @@ class TestConfigKnobs:
         ) as backend:
             assert backend.journal_mode == "truncate"
             assert backend.busy_timeout == 1.0
-        # The memory factory ignores what it does not need.
-        with get_backend("sqlite-memory", journal_mode="wal") as backend:
-            assert backend.name == "sqlite-memory"
 
 
 # ----------------------------------------------------------------------
-# Engine parity: the same ingestion on both engines
+# Nebula takes a backend, not a bare connection
 # ----------------------------------------------------------------------
 
 
-def _ingest_on(backend) -> list:
-    """Run one figure-1 ingestion through ``backend`` and distill the
-    report down to comparable (ref, decision) facts."""
-    build_figure1_connection(backend.primary)
-    nebula = Nebula(
-        backend,
-        build_figure1_meta(),
-        NebulaConfig(epsilon=0.6, beta_lower=0.01, beta_upper=0.999),
-    )
-    report = nebula.insert_annotation(
-        "We examined genes JW0014, and later saw yaaB too.", attach_to=[]
-    )
-    facts = sorted(
-        (str(task.ref), round(task.confidence, 9), task.decision.value)
-        for task in report.tasks
-    )
-    nebula.close()
-    return facts
-
-
-class TestEngineParity:
-    def test_memory_backend_matches_file_backend(self, tmp_path):
-        with get_backend("sqlite-file", path=str(tmp_path / "p.db")) as file_b:
-            file_facts = _ingest_on(file_b)
-        with get_backend("sqlite-memory") as memory_b:
-            memory_facts = _ingest_on(memory_b)
-        assert file_facts  # the annotation must produce candidate tasks
-        assert file_facts == memory_facts
+class TestNebulaStorage:
+    def test_bare_connection_rejected(self, tmp_path):
+        with get_backend("sqlite-file", path=str(tmp_path / "n.db")) as backend:
+            build_figure1_connection(backend.primary)
+            meta = build_figure1_meta()
+            with pytest.raises(StorageError, match="Nebula\\(backend"):
+                Nebula(backend.primary, meta)
+            other = sqlite3.connect(str(tmp_path / "n.db"))
+            with pytest.raises(StorageError, match="b.primary"):
+                Nebula(other, meta, backend=backend)
+            other.close()
+            assert Nebula(backend, meta).backend is backend
+            assert Nebula(backend.primary, meta, backend=backend).backend is backend

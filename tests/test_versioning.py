@@ -4,7 +4,6 @@ Covers the commit log's lifecycle and history appends, head/log parity
 and recovery, the time-travel property (``as_of`` at *every* commit id
 reproduces the exact historical state), the migration chain round-trip,
 snapshot-consistent service reads, and dead-letter commit stamping.
-Backend-parametrized fixtures run everything on both bundled engines.
 """
 
 import random
@@ -32,8 +31,6 @@ from repro.versioning import (
     timetravel,
 )
 from repro.versioning.schema import LEGACY_DDL
-
-from conftest import build_figure1_connection
 
 
 @pytest.fixture
@@ -253,7 +250,7 @@ class TestTimeTravel:
     def test_every_commit_reproduces_historical_state(self, store, log):
         """The acceptance property: ``as_of=<every commit id>`` exactly
         reproduces the state captured right after that commit, under a
-        randomized mutation sequence (both engines via the fixture)."""
+        randomized mutation sequence."""
         rng = random.Random(1234)
         edges = []
         annotations = []
@@ -300,11 +297,11 @@ class TestTimeTravel:
         # And the log still agrees with the final head.
         assert log.verify_head() is True
 
-    def test_engine_pipeline_commits_reproduce_history(self, figure1_db):
+    def test_engine_pipeline_commits_reproduce_history(self, figure1_backend, figure1_db):
         """Same property through the full pipeline: ingest + verify +
         reject command sequences, one commit per logical operation."""
         connection, meta = figure1_db
-        nebula = Nebula(connection, meta, NebulaConfig(epsilon=0.6))
+        nebula = Nebula(figure1_backend, meta, NebulaConfig(epsilon=0.6))
         rng = random.Random(77)
         captured = {}
         texts = [
@@ -340,9 +337,9 @@ class TestTimeTravel:
                 == expected
             )
 
-    def test_report_commit_ids_are_monotonic(self, figure1_db):
+    def test_report_commit_ids_are_monotonic(self, figure1_backend, figure1_db):
         connection, meta = figure1_db
-        nebula = Nebula(connection, meta, NebulaConfig(epsilon=0.6))
+        nebula = Nebula(figure1_backend, meta, NebulaConfig(epsilon=0.6))
         ids = [
             nebula.insert_annotation(f"gene JW001{i} note").commit_id
             for i in range(3)
@@ -350,11 +347,11 @@ class TestTimeTravel:
         assert ids == sorted(ids)
         assert nebula.head_commit() == ids[-1]
 
-    def test_batch_shares_one_commit(self, figure1_db):
+    def test_batch_shares_one_commit(self, figure1_backend, figure1_db):
         from repro.perf import AnnotationRequest
 
         connection, meta = figure1_db
-        nebula = Nebula(connection, meta, NebulaConfig(epsilon=0.6))
+        nebula = Nebula(figure1_backend, meta, NebulaConfig(epsilon=0.6))
         reports = nebula.insert_annotations(
             [
                 AnnotationRequest.build("gene JW0013 note"),
@@ -431,12 +428,12 @@ class TestMigrations:
         assert log.verify_head() is True
         assert timetravel.count_annotations(connection, commits[0].commit_id) == 2
 
-    def test_upgraded_legacy_matches_fresh_init(self):
-        with get_backend("sqlite-memory") as legacy_backend:
+    def test_upgraded_legacy_matches_fresh_init(self, tmp_path):
+        with get_backend("sqlite-file", path=str(tmp_path / "legacy.db")) as legacy_backend:
             legacy = legacy_backend.primary
             _seed_legacy(legacy)
             MigrationRunner(legacy).upgrade()
-            with get_backend("sqlite-memory") as fresh_backend:
+            with get_backend("sqlite-file", path=str(tmp_path / "fresh.db")) as fresh_backend:
                 fresh = fresh_backend.primary
                 # Fresh init + the same logical content, logged manually.
                 ensure_schema(fresh)
@@ -629,7 +626,7 @@ class TestDeadLetterStamping:
             BioDatabaseSpec(genes=24, proteins=12, publications=60, seed=11)
         )
         nebula = Nebula(
-            db.connection,
+            db.backend,
             db.meta,
             NebulaConfig(epsilon=0.6, fault_injector=faults),
             aliases=db.aliases,
