@@ -17,7 +17,7 @@ on it (the expert should resolve them first).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import StorageError
 from ..search.index import InvertedValueIndex

@@ -8,7 +8,7 @@ the raw material from which Nebula builds the ACG.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import UnknownTupleError
 from ..resilience.retry import RetryPolicy

@@ -241,6 +241,12 @@ class AnnotationStore:
             return []
         first_seq = self._next_seq
         self._next_seq += len(items)
+        # The new rows are the ids above the current maximum; reading
+        # them back by primary key keeps both follow-up statements off a
+        # table scan.
+        watermark = self.connection.execute(
+            "SELECT COALESCE(MAX(annotation_id), 0) FROM _nebula_annotations"
+        ).fetchone()[0]
         self._write_many(
             "INSERT INTO _nebula_annotations (content, author, created_seq) VALUES (?, ?, ?)",
             [
@@ -248,14 +254,17 @@ class AnnotationStore:
                 for position, (content, author) in enumerate(items)
             ],
         )
-        self.versioning.record_annotation_range(first_seq, first_seq + len(items) - 1)
         rows = self.connection.execute(
             "SELECT annotation_id, content, author, created_seq "
-            "FROM _nebula_annotations WHERE created_seq BETWEEN ? AND ? "
-            "ORDER BY created_seq",
-            (first_seq, first_seq + len(items) - 1),
+            "FROM _nebula_annotations WHERE annotation_id > ? "
+            "ORDER BY annotation_id",
+            (watermark,),
         ).fetchall()
-        return [Annotation(*row) for row in rows]
+        annotations = [Annotation(*row) for row in rows]
+        self.versioning.record_annotation_range(
+            annotations[0].annotation_id, annotations[-1].annotation_id
+        )
+        return annotations
 
     def bulk_attach_true(self, edges: Sequence[Tuple[int, CellRef]]) -> int:
         """Insert many *true* attachment edges with one statement.

@@ -66,8 +66,6 @@ class NebulaConfig:
     target_recall: float = 0.90
     #: Enable the ACG focal-based confidence adjustment (§6.2).
     focal_adjustment: bool = True
-    #: Enable shared execution of the generated SQL queries (§6, Fig. 13).
-    shared_execution: bool = False
     #: The storage engine :func:`repro.storage.get_backend` opens: the
     #: only one, a WAL database file.  A constant, not a field.
     storage_backend: ClassVar[str] = "sqlite-file"

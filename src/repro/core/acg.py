@@ -307,7 +307,7 @@ class PersistentHopProfile(HopProfile):
 
     ``record`` runs inside the pipeline's ingestion SAVEPOINT, so a
     rolled-back annotation reverts its bucket increments together with
-    the in-memory restore in ``Nebula._abort_insert``.  Unreachable
+    the in-memory restore in ``Nebula._abort``.  Unreachable
     discoveries persist under ``hops = -1`` (:data:`UNREACHABLE`).
     """
 

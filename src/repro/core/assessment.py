@@ -19,7 +19,7 @@ computes these factors automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, List, Sequence, Tuple
+from typing import AbstractSet, Iterable, Sequence, Tuple
 
 from ..types import ScoredTuple, TupleRef
 

@@ -20,7 +20,7 @@ upper bound shifts left (more auto-accepts) while the constraints hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..types import ScoredTuple, TupleRef
 from .assessment import Assessment, assess, average_assessments

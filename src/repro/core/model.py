@@ -19,7 +19,7 @@ they are reused verbatim by the Stage-3 assessment and by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Tuple
 
 from ..annotations.engine import AnnotationManager
 from ..annotations.store import AttachmentKind

@@ -6,13 +6,15 @@ keyword-search engine.  Its lifecycle per new annotation:
 * **Stage 0** — store the annotation, establish its focal (the manual
   attachments), update the ACG and the stability tracker;
 * **Stage 1** — generate weighted keyword queries from the text;
-* **Stage 2** — execute them: full-database search, or — once the ACG is
-  stable — the approximate focal-based spreading search over the K-hop
-  mini database; apply the focal-based confidence adjustment; optionally
-  use the shared multi-query executor;
+* **Stage 2** — execute them: full-database search through the shared
+  multi-query executor, or — once the ACG is stable — the approximate
+  focal-based spreading search over the K-hop mini database; apply the
+  focal-based confidence adjustment;
 * **Stage 3** — triage the candidates into auto-accept / pending /
   auto-reject verification tasks.
 
+``insert_annotation`` and ``insert_annotations`` run the same pipeline;
+a single insert is a one-member batch under its own commit kind.
 ``analyze`` runs Stages 1-2 only, with no persistence — the probe the
 benchmarks and the bounds-tuning algorithm use.
 """
@@ -308,14 +310,16 @@ class Nebula:
         focal: Sequence[TupleRef] = (),
         use_spreading: Optional[bool] = None,
         radius: Optional[int] = None,
-        shared: Optional[bool] = None,
+        shared: bool = False,
         as_of: Optional[int] = None,
     ) -> DiscoveryReport:
         """Generate queries and identify candidate tuples for ``text``.
 
         ``use_spreading`` defaults to the ACG stability flag (the paper's
         trigger); ``radius`` defaults to the profile-guided selection;
-        ``shared`` defaults to the config's shared-execution switch.
+        ``shared`` runs the SQL through the shared multi-query executor
+        instead of query by query — Figure 13's comparison, answers
+        unchanged.
 
         ``as_of`` replays the analysis against the annotation graph as it
         stood at that commit: focal adjustment and the spreading scope
@@ -326,8 +330,8 @@ class Nebula:
 
         With tracing enabled the pass is one ``analyze`` span holding the
         ``stage1.*`` generation spans and the ``stage2.execute`` span; a
-        standalone call exports it as its own trace, a call from
-        :meth:`insert_annotation` nests it under that trace's root.
+        standalone call exports it as its own trace, the spreading member
+        of an ingestion nests it under that trace's root.
         """
         with self.tracer.span("analyze") as span:
             report = self._analyze(
@@ -343,7 +347,7 @@ class Nebula:
         focal: Tuple[TupleRef, ...],
         use_spreading: Optional[bool],
         radius: Optional[int],
-        shared: Optional[bool],
+        shared: bool,
         span: SpanLike,
         as_of: Optional[int] = None,
     ) -> DiscoveryReport:
@@ -390,8 +394,6 @@ class Nebula:
                     spreading = False
                     scope, mini, chosen_radius = None, None, None
 
-            use_shared = shared if shared is not None else self.config.shared_execution
-
             def identify(executor: Optional[SharedExecutor]) -> IdentifiedTuples:
                 return identify_related_tuples(
                     generation.queries,
@@ -403,7 +405,7 @@ class Nebula:
                 )
 
             try:
-                if use_shared:
+                if shared:
                     try:
                         if self._faults is not None:
                             self._faults.check("executor.run")
@@ -461,8 +463,8 @@ class Nebula:
         """Surface the finished trace + a metrics snapshot on the report.
 
         Only a *root* span produces a trace (a nested ``analyze`` inside
-        ``insert_annotation`` is exported with that trace instead), and
-        only when tracing is enabled — the no-op tracer never has one.
+        an ingestion is exported with that trace instead), and only when
+        tracing is enabled — the no-op tracer never has one.
         """
         if self.tracer.enabled and self.tracer.depth == 0:
             report.trace = self.tracer.last_trace
@@ -486,14 +488,16 @@ class Nebula:
         """Insert a new annotation and proactively discover its missing
         attachments; predictions are triaged into verification tasks.
 
-        Every write of the pass — annotation row, focal edges, predicted
-        and auto-accepted attachments — lands under one ``ingest`` commit
-        in the append-only log (``replay`` when ``replay_of`` names the
-        dead letter being replayed), carrying ``author`` and
-        ``request_id`` provenance; its id is stamped onto the report as
+        The annotation runs alone through the one Stage 0-3 pipeline that
+        :meth:`insert_annotations` describes.  Every write of the pass —
+        annotation row, focal edges, predicted and auto-accepted
+        attachments — lands under one ``ingest`` commit in the
+        append-only log (``replay`` when ``replay_of`` names the dead
+        letter being replayed), carrying ``author`` and ``request_id``
+        provenance; its id is stamped onto the report as
         :attr:`DiscoveryReport.commit_id`.
 
-        The whole pipeline runs inside a SQLite SAVEPOINT: a Stage 1-3
+        The whole pipeline runs inside a SQLite SAVEPOINT: a Stage 0-3
         failure that cannot be degraded around rolls the Stage 0 writes
         (annotation row, focal attachments, ACG edges) back atomically,
         captures the inputs in the dead-letter queue (unless
@@ -501,172 +505,32 @@ class Nebula:
         :class:`~repro.errors.PipelineStageError`.
 
         With tracing enabled the pass becomes one exported trace rooted
-        at ``insert_annotation`` with ``stage0.store``, ``analyze``
-        (holding ``stage1.*`` and ``stage2.execute``), and
-        ``stage3.curate`` children; the finished tree plus a metrics
-        snapshot land on the returned report.
+        at ``insert_annotation`` with ``stage0.store``, ``stage1.*``,
+        ``stage2.batch_execute`` and ``stage3.curate`` children (a
+        spreading search runs its Stages 1-2 under an ``analyze`` span
+        instead); the finished tree plus a metrics snapshot land on the
+        returned report, whose ``elapsed`` is the whole call.
         """
-        with self.tracer.span("insert_annotation") as span:
-            report = self._insert_annotation(
-                text, tuple(attach_to), author, use_spreading, radius,
-                capture_dead_letter, span, request_id, replay_of,
-            )
-        self._m_insert_seconds.observe(report.elapsed)
-        self._m_acg_edges.set(self.acg.edge_count)
-        self._attach_trace(report)
-        return report
-
-    def _insert_annotation(
-        self,
-        text: str,
-        focal: Tuple[TupleRef, ...],
-        author: Optional[str],
-        use_spreading: Optional[bool],
-        radius: Optional[int],
-        capture_dead_letter: Optional[bool],
-        span: SpanLike,
-        request_id: Optional[str] = None,
-        replay_of: Optional[int] = None,
-    ) -> DiscoveryReport:
         started = time.perf_counter()
-        capture = (
-            self.config.dead_letters
-            if capture_dead_letter is None
-            else capture_dead_letter
-        )
-        annotation = None
-        profile_snapshot = (dict(self.profile.buckets), self.profile.unreachable)
-        savepoint = Savepoint(
-            self.connection, "nebula_insert", dialect=self.dialect
-        ).begin()
-        # The commit opens *inside* the SAVEPOINT: a rollback removes the
-        # commit row and its history rows together.
-        commit_id = self.commit_log.begin(
-            "ingest" if replay_of is None else "replay",
-            author=author,
-            request_id=request_id,
-            note=None if replay_of is None else f"dead-letter:{replay_of}",
-        )
-        try:
-            # Stage 0 — persist the annotation + focal, update the ACG.
-            with self.tracer.span("stage0.store") as store_span:
-                with pipeline_stage("store.add", self._faults):
-                    annotation = self.manager.add_annotation(
-                        text,
-                        attach_to=[CellRef(r.table, r.rowid) for r in focal],
-                        author=author,
-                    )
-                edges_before = self.acg.edge_count
-                new_edges = 0
-                for ref in focal:
-                    new_edges += self.acg.add_attachment(
-                        annotation.annotation_id, ref
-                    )
-                store_span.set_attribute("annotation_id", annotation.annotation_id)
-                store_span.set_attribute("focal", len(focal))
-                store_span.set_attribute("new_edges", new_edges)
-
-            # Stages 1-2 — optimization failures degrade inside analyze;
-            # anything that escapes it is a hard Stage 1-2 failure.
-            with pipeline_stage("pipeline.analyze"):
-                report = self.analyze(
-                    text, focal=focal, use_spreading=use_spreading, radius=radius
-                )
-            report.annotation_id = annotation.annotation_id
-            span.set_attribute("annotation_id", annotation.annotation_id)
+        request = AnnotationRequest.build(text, attach_to, author)
+        with self.tracer.span("insert_annotation") as span:
+            (report,) = self._ingest(
+                [request],
+                use_spreading,
+                radius,
+                capture_dead_letter,
+                "ingest" if replay_of is None else "replay",
+                author=author,
+                request_id=request_id,
+                note=None if replay_of is None else f"dead-letter:{replay_of}",
+            )
+            span.set_attribute("annotation_id", report.annotation_id)
             span.set_attribute("query_count", report.query_count)
             span.set_attribute("candidates", len(report.candidates))
-            verdict = self.spam_guard.screen(
-                report.candidates, self._searchable_tuple_count
-            )
-            if verdict.is_spam:
-                # Footnote-1 guard: a spam-like annotation is quarantined —
-                # its focal stays, but no predicted attachments are created.
-                report.spam_verdict = verdict
-                span.set_attribute("spam", verdict.reason)
-                savepoint.release()
-                self.commit_log.finish()
-                report.commit_id = commit_id
-                self.stability.record_annotation(
-                    attachments=len(focal), new_edges=new_edges
-                )
-                self._m_quarantined.inc()
-                report.elapsed = time.perf_counter() - started
-                return report
-
-            # Stage 3 — triage the candidates into verification tasks.
-            with self.tracer.span("stage3.curate") as curate_span:
-                with pipeline_stage("queue.triage", self._faults):
-                    report.tasks = self.queue.triage(
-                        annotation.annotation_id,
-                        report.candidates,
-                        self.config.beta_lower,
-                        self.config.beta_upper,
-                        focal=focal,
-                    )
-                curate_span.set_attribute("tasks", len(report.tasks))
-                for decision, count in _decision_counts(report.tasks).items():
-                    curate_span.set_attribute(decision, count)
-        except Exception as error:
-            self._abort_insert(savepoint, annotation, profile_snapshot)
-            failure = (
-                error
-                if isinstance(error, PipelineStageError)
-                else PipelineStageError("pipeline", error)
-            )
-            if capture:
-                letter = self.dead_letters.capture(
-                    text, focal, author, failure.stage, repr(failure.original)
-                )
-                failure.dead_letter_id = letter.letter_id
-            if failure is not error:
-                raise failure from error
-            raise
-        savepoint.release()
-        self.commit_log.finish()
-        report.commit_id = commit_id
-        accepted = sum(1 for t in report.tasks if t.decision.is_accepted)
-        # ACG delta across the whole pipeline: focal edges + edges from
-        # auto-accepted attachments (added during triage).
-        total_new_edges = self.acg.edge_count - edges_before
-        self.stability.record_annotation(
-            attachments=len(focal) + accepted, new_edges=total_new_edges
-        )
-        self._m_ingested.inc()
-        for decision, count in _decision_counts(report.tasks).items():
-            self.metrics.counter(
-                "nebula_triage_decisions_total", {"decision": decision}
-            ).inc(count)
-        span.set_attribute("tasks", len(report.tasks))
-        span.set_attribute("acg_edge_delta", total_new_edges)
+            span.set_attribute("tasks", len(report.tasks))
         report.elapsed = time.perf_counter() - started
+        self._record_call([report], report.elapsed)
         return report
-
-    def _abort_insert(
-        self,
-        savepoint: Savepoint,
-        annotation: Optional[Annotation],
-        profile_snapshot: Tuple[Dict[int, int], int],
-    ) -> None:
-        """Undo a failed ingestion completely.
-
-        The SAVEPOINT rollback restores the database (annotation row,
-        attachments, verification tasks); the in-memory ACG, hop profile,
-        and triage bookkeeping are restored to match.  The stability
-        tracker is only updated on success, so it needs no restore.
-        """
-        savepoint.rollback()
-        self.commit_log.abandon()
-        if annotation is not None:
-            self.acg.remove_annotation(annotation.annotation_id)
-            self.queue.forget(annotation.annotation_id)
-        buckets, unreachable = profile_snapshot
-        self.profile.buckets = dict(buckets)
-        self.profile.unreachable = unreachable
-
-    # ------------------------------------------------------------------
-    # Batched ingestion (Stages 0-3 for many annotations, one transaction)
-    # ------------------------------------------------------------------
 
     def insert_annotations(
         self,
@@ -678,16 +542,16 @@ class Nebula:
     ) -> List[DiscoveryReport]:
         """Ingest a batch of annotations with cross-annotation sharing.
 
-        Produces, per request, exactly the report and database state
-        :meth:`insert_annotation` would — in batch order — but much
-        faster for non-trivial batches:
+        Produces, per request, exactly the report and database state a
+        loop over :meth:`insert_annotation` would — in batch order — and
+        both run the same pipeline:
 
         * **Stage 0** bulk-writes every annotation row and focal edge with
           two ``executemany`` statements;
         * **Stage 2** pools the SQL of *all* full-search members through
           one shared dedup/batch pass (``SharedExecutor.execute_groups``),
           so annotations mentioning the same values probe the database
-          once — sharing the single-annotation path cannot reach;
+          once;
         * the ACG-dependent steps (focal edges, confidence adjustment,
           spam screen, triage) still run per annotation in order, which is
           what makes the per-request results identical to sequential
@@ -699,67 +563,82 @@ class Nebula:
           stability flip cannot change execution strategy); members with a
           focal then use the per-annotation spreading path, without
           cross-annotation sharing;
-        * the whole batch is one SAVEPOINT: any member's hard failure
-          rolls back every member, captures one dead letter *per request*
-          (so :meth:`reprocess_dead_letters` replays the batch), and
-          raises :class:`~repro.errors.PipelineStageError`;
-        * batch ingestion always uses shared execution for its pooled
-          members, regardless of ``config.shared_execution`` (answers are
-          unaffected; that flag keeps its meaning for the single path).
+        * the whole batch is one SAVEPOINT under one ``batch`` commit: any
+          member's hard failure rolls back every member, captures one dead
+          letter *per request* (so :meth:`reprocess_dead_letters` replays
+          the batch), and raises :class:`~repro.errors.PipelineStageError`.
         """
         requests = [coerce_request(item) for item in batch]
         if not requests:
             return []
+        started = time.perf_counter()
         with self.tracer.span("insert_annotations") as span:
-            reports = self._insert_annotations(
-                requests, use_spreading, radius, capture_dead_letter, span,
-                request_id,
+            reports = self._ingest(
+                requests,
+                use_spreading,
+                radius,
+                capture_dead_letter,
+                "batch",
+                request_id=request_id,
+                note=f"batch of {len(requests)}",
             )
+            elapsed = time.perf_counter() - started
+            span.set_attribute("batch_size", len(requests))
+            span.set_attribute(
+                "quarantined", sum(1 for r in reports if r.spam_verdict is not None)
+            )
+            span.set_attribute("elapsed", elapsed)
+        self._record_call(reports, elapsed)
+        return reports
+
+    def _record_call(self, reports: Sequence[DiscoveryReport], elapsed: float) -> None:
+        """Call-level bookkeeping after a successful ingestion call."""
+        self._m_insert_seconds.observe(elapsed)
         self._m_acg_edges.set(self.acg.edge_count)
         for report in reports:
             self._attach_trace(report)
-        return reports
 
-    def _insert_annotations(
+    def _ingest(
         self,
-        requests: Sequence["AnnotationRequest"],
+        requests: Sequence[AnnotationRequest],
         use_spreading: Optional[bool],
         radius: Optional[int],
         capture_dead_letter: Optional[bool],
-        span: SpanLike,
+        kind: str,
+        author: Optional[str] = None,
         request_id: Optional[str] = None,
+        note: Optional[str] = None,
     ) -> List[DiscoveryReport]:
-        started = time.perf_counter()
+        """Stages 0-3 for ``requests`` in one SAVEPOINT and one ``kind``
+        commit; the body of both public ingestion calls."""
         capture = (
             self.config.dead_letters
             if capture_dead_letter is None
             else capture_dead_letter
         )
         profile_snapshot = (dict(self.profile.buckets), self.profile.unreachable)
-        # Pin the spreading decision for the whole batch; per member it
+        # Pin the spreading decision for the whole call; per member it
         # still requires a non-empty focal, exactly as in analyze().
         pinned = use_spreading if use_spreading is not None else self.stability.stable
         spreading_flags = [pinned and bool(r.focal) for r in requests]
         savepoint = Savepoint(
-            self.connection, "nebula_batch", dialect=self.dialect
+            self.connection, "nebula_ingest", dialect=self.dialect
         ).begin()
-        # One commit covers the whole batch — it is one SAVEPOINT and
-        # rolls back as a unit, so it is one log entry too.
+        # The commit opens *inside* the SAVEPOINT: a rollback removes the
+        # commit row and its history rows together.
         commit_id = self.commit_log.begin(
-            "batch",
-            request_id=request_id,
-            note=f"batch of {len(requests)}",
+            kind, author=author, request_id=request_id, note=note
         )
         inserted: List[Annotation] = []
         reports: List[DiscoveryReport] = []
         #: Per member: (attachments, new_edges, quarantined) — stability
-        #: and counter updates are deferred until the batch commits, so a
+        #: and counter updates are deferred until the call commits, so a
         #: rollback leaves the tracker and metrics untouched.
         outcomes: List[Tuple[int, int, bool]] = []
         decision_totals: Dict[str, int] = {}
         try:
             # Stage 0 — bulk-persist annotations + focal edges.
-            with self.tracer.span("stage0.bulk_store") as store_span:
+            with self.tracer.span("stage0.store") as store_span:
                 with pipeline_stage("store.add", self._faults):
                     inserted = self.manager.bulk_add_annotations(
                         [
@@ -777,11 +656,12 @@ class Nebula:
             # generation depends only on the text, the meta-repository,
             # and the config — never on the ACG — so it can run up front.
             generations: Dict[int, QueryGenerationResult] = {}
-            for position, request in enumerate(requests):
-                if not spreading_flags[position]:
-                    generations[position] = generate_queries(
-                        request.text, self.meta, self.config, tracer=self.tracer
-                    )
+            with pipeline_stage("pipeline.analyze"):
+                for position, request in enumerate(requests):
+                    if not spreading_flags[position]:
+                        generations[position] = generate_queries(
+                            request.text, self.meta, self.config, tracer=self.tracer
+                        )
 
             # Stage 2 — one shared pass over every pooled member's SQL.
             # The statements read only user data tables (Stage 0 touched
@@ -800,11 +680,11 @@ class Nebula:
                         )
                         group_results = dict(zip(positions, grouped))
                     except Exception as error:
-                        # Degradation ladder: cross-annotation sharing is
-                        # an optimization — fall back to per-member
+                        # Degradation ladder: shared execution is an
+                        # optimization — fall back to per-member
                         # sequential execution below.
                         _resilience_logger.warning(
-                            "batched shared execution failed, "
+                            "shared execution failed, "
                             "executing members sequentially: %s",
                             error,
                         )
@@ -815,10 +695,10 @@ class Nebula:
                         "hit_ratio", self.executor.last_stats.hit_ratio
                     )
 
-            # Stages 2'-3, per member in batch order: ACG focal edges,
-            # grouping + focal adjustment, spam screen, triage.
+            # Stages 2'-3, per member in order: ACG focal edges, grouping
+            # + focal adjustment, spam screen, triage.
             for position, (request, annotation) in enumerate(zip(requests, inserted)):
-                report, outcome = self._finish_batch_member(
+                report, outcome = self._finish_member(
                     request,
                     annotation,
                     generations.get(position),
@@ -831,7 +711,7 @@ class Nebula:
                 reports.append(report)
                 outcomes.append(outcome)
         except Exception as error:
-            self._abort_batch(savepoint, inserted, profile_snapshot)
+            self._abort(savepoint, inserted, profile_snapshot)
             failure = (
                 error
                 if isinstance(error, PipelineStageError)
@@ -839,8 +719,8 @@ class Nebula:
             )
             if capture:
                 # One letter per request: the failed member is not
-                # isolatable after a whole-batch rollback, and replaying
-                # every letter reconstructs the batch exactly.
+                # isolatable after a whole-call rollback, and replaying
+                # every letter reconstructs the call exactly.
                 for request in requests:
                     letter = self.dead_letters.capture(
                         request.text,
@@ -870,16 +750,11 @@ class Nebula:
             self.metrics.counter(
                 "nebula_triage_decisions_total", {"decision": decision}
             ).inc(count)
-        elapsed = time.perf_counter() - started
-        self._m_insert_seconds.observe(elapsed)
-        span.set_attribute("batch_size", len(requests))
-        span.set_attribute("quarantined", sum(1 for o in outcomes if o[2]))
-        span.set_attribute("elapsed", elapsed)
         return reports
 
-    def _finish_batch_member(
+    def _finish_member(
         self,
-        request: "AnnotationRequest",
+        request: AnnotationRequest,
         annotation: Annotation,
         generation: Optional[QueryGenerationResult],
         per_query: Optional[Dict[str, SearchResult]],
@@ -896,43 +771,48 @@ class Nebula:
         for ref in focal:
             focal_new_edges += self.acg.add_attachment(annotation.annotation_id, ref)
 
-        if spreading:
-            # Spreading members search their K-hop mini database — scoped
-            # per member, so nothing to share across the batch.
-            with pipeline_stage("pipeline.analyze"):
+        # Optimization failures degrade inside; anything that escapes is
+        # a hard Stage 1-2 failure.
+        with pipeline_stage("pipeline.analyze"):
+            if spreading:
+                # Spreading members search their K-hop mini database —
+                # scoped per member, so nothing to share across members.
                 report = self.analyze(
                     request.text, focal=focal, use_spreading=True, radius=radius
                 )
-        else:
-            assert generation is not None
-            degradations = list(generation.degradations)
-            if shared_failed:
-                degradations.append(EXECUTOR_FALLBACK)
-            identified = identify_related_tuples(
-                generation.queries,
-                self.engine,
-                acg=self.acg if self.config.focal_adjustment else None,
-                focal=focal,
-                precomputed=None if shared_failed else per_query,
-            )
-            report = DiscoveryReport(
-                text=request.text,
-                focal=focal,
-                generation=generation,
-                identified=identified,
-                mode="full",
-                degradations=degradations,
-            )
+            else:
+                assert generation is not None
+                degradations = list(generation.degradations)
+                if shared_failed:
+                    degradations.append(EXECUTOR_FALLBACK)
+                identified = identify_related_tuples(
+                    generation.queries,
+                    self.engine,
+                    acg=self.acg if self.config.focal_adjustment else None,
+                    focal=focal,
+                    precomputed=None if shared_failed else per_query,
+                )
+                report = DiscoveryReport(
+                    text=request.text,
+                    focal=focal,
+                    generation=generation,
+                    identified=identified,
+                    mode="full",
+                    degradations=degradations,
+                )
         report.annotation_id = annotation.annotation_id
 
         verdict = self.spam_guard.screen(
             report.candidates, self._searchable_tuple_count
         )
         if verdict.is_spam:
+            # Footnote-1 guard: a spam-like annotation is quarantined —
+            # its focal stays, but no predicted attachments are created.
             report.spam_verdict = verdict
             report.elapsed = time.perf_counter() - member_started
             return report, (len(focal), focal_new_edges, True)
 
+        # Stage 3 — triage the candidates into verification tasks.
         with self.tracer.span("stage3.curate") as curate_span:
             with pipeline_stage("queue.triage", self._faults):
                 report.tasks = self.queue.triage(
@@ -949,19 +829,27 @@ class Nebula:
         for decision, count in _decision_counts(report.tasks).items():
             decision_totals[decision] = decision_totals.get(decision, 0) + count
         report.elapsed = time.perf_counter() - member_started
+        # ACG delta across the member: focal edges + edges from
+        # auto-accepted attachments (added during triage).
         return report, (
             len(focal) + accepted,
             self.acg.edge_count - edges_before,
             False,
         )
 
-    def _abort_batch(
+    def _abort(
         self,
         savepoint: Savepoint,
         inserted: Sequence[Annotation],
         profile_snapshot: Tuple[Dict[int, int], int],
     ) -> None:
-        """Undo a failed batch completely (mirror of :meth:`_abort_insert`)."""
+        """Undo a failed ingestion completely.
+
+        The SAVEPOINT rollback restores the database (annotation rows,
+        attachments, verification tasks); the in-memory ACG, hop profile,
+        and triage bookkeeping are restored to match.  The stability
+        tracker is only updated on success, so it needs no restore.
+        """
         savepoint.rollback()
         self.commit_log.abandon()
         for annotation in inserted:

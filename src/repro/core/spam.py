@@ -22,7 +22,7 @@ Signals (any one suffices):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..storage.compat import Connection
 from ..types import ScoredTuple

@@ -20,7 +20,7 @@ candidates").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..resilience.retry import RetryPolicy
 from ..search.engine import SearchScope

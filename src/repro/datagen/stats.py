@@ -8,7 +8,7 @@ is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..annotations.engine import AnnotationManager

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..utils.tokenize import normalize_word
 

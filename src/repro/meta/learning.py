@@ -17,7 +17,7 @@ NebulaMeta — or accept automatically via :func:`apply_proposals`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..annotations.engine import AnnotationManager

@@ -24,7 +24,8 @@ CANONICAL_STAGES: FrozenSet[str] = frozenset(
         "index.load",
         # Engine open: full index rebuild persisted to the backend tables.
         "index.build",
-        # Stage 0: persist the annotation + manual attachments.
+        # Stage 0: persist the annotations + manual attachments
+        # (executemany over the rows and the focal edges).
         "stage0.store",
         # The analysis umbrella span (stage 1 + stage 2).
         "analyze",
@@ -33,15 +34,14 @@ CANONICAL_STAGES: FrozenSet[str] = frozenset(
         "stage1.maps",
         "stage1.context",
         "stage1.queries",
-        # Stage 2: SQL execution of the generated queries.
+        # Stage 2 of analyze(): SQL execution of the generated queries.
         "stage2.execute",
         # Stage 3: triage of candidates into auto-accept / verify / reject.
         "stage3.curate",
         # Root span of one batch's pass through the pipeline.
         "insert_annotations",
-        # Stage 0 bulk path: executemany over annotations + focal edges.
-        "stage0.bulk_store",
-        # Cross-annotation shared execution of the whole batch's SQL.
+        # Shared execution of the full-search members' SQL (one pass per
+        # ingestion call, across annotations for a batch).
         "stage2.batch_execute",
         # Service layer (repro.service): one request isolated on the
         # per-item fallback path after a poisoned batch.

@@ -5,12 +5,14 @@ named spans mirroring the Figure 16 stages::
 
     insert_annotation
     ├── stage0.store
-    ├── analyze
-    │   ├── stage1.maps
-    │   ├── stage1.context
-    │   ├── stage1.queries
-    │   └── stage2.execute
+    ├── stage1.maps
+    ├── stage1.context
+    ├── stage1.queries
+    ├── stage2.batch_execute
     └── stage3.curate
+
+(a spreading search runs Stages 1-2 under an ``analyze`` span holding
+the ``stage1.*`` spans and ``stage2.execute`` instead).
 
 Each span carries wall-clock duration and a flat attribute map (annotation
 id, query count, candidate-tuple count, ACG edge deltas, ...).  When the

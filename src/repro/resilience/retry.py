@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, List, TypeVar
 
 from ..errors import TransientStorageError
 from ..observability.metrics import get_metrics

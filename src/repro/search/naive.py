@@ -17,8 +17,8 @@ portion of the database with near-meaningless confidences.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..storage.compat import Connection
 from ..types import ScoredTuple, TupleRef

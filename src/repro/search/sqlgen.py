@@ -19,7 +19,7 @@ inverted index that produced the value mappings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..observability.metrics import get_metrics
 from .configurations import Configuration

@@ -57,8 +57,8 @@ _APPEND_ANNOTATION_RANGE = (
     "INSERT INTO _nebula_annotation_history "
     "(commit_id, annotation_id, op, content, author, created_seq) "
     "SELECT ?, annotation_id, 'insert', content, author, created_seq "
-    "FROM _nebula_annotations WHERE created_seq BETWEEN ? AND ? "
-    "ORDER BY created_seq"
+    "FROM _nebula_annotations WHERE annotation_id BETWEEN ? AND ? "
+    "ORDER BY annotation_id"
 )
 
 _APPEND_ATTACHMENT = (
@@ -296,9 +296,9 @@ class CommitLog:
         """Log the freshly inserted annotation row as a new version."""
         self._write(_APPEND_ANNOTATION, (self._current(), "insert", annotation_id))
 
-    def record_annotation_range(self, first_seq: int, last_seq: int) -> None:
-        """Log a contiguous ``created_seq`` range of bulk-inserted rows."""
-        self._write(_APPEND_ANNOTATION_RANGE, (self._current(), first_seq, last_seq))
+    def record_annotation_range(self, first_id: int, last_id: int) -> None:
+        """Log the bulk-inserted rows ``first_id..last_id`` (annotation ids)."""
+        self._write(_APPEND_ANNOTATION_RANGE, (self._current(), first_id, last_id))
 
     def record_attachment_insert(self, attachment_id: int) -> None:
         """Log one freshly inserted attachment edge."""

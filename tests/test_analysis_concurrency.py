@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis import analyze_paths
 from repro.analysis.astcache import load_module
-from repro.analysis.graphs import build_project_graph
 from repro.analysis.rules import ModuleContext, check_sql_safety
 
 FIXTURES = os.path.join(

@@ -8,7 +8,6 @@ from repro.analysis import analyze_paths
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.cli import main as lint_main
 from repro.analysis.engine import AnalysisError
-from repro.analysis.resolve import Safety, build_env, resolve_str
 
 
 def lint(tmp_path, source, name="snippet.py", rules=None):

@@ -5,7 +5,7 @@ import pytest
 from repro.annotations.engine import AnnotationManager
 from repro.annotations.rules import RuleEngine
 from repro.errors import CommandError, StorageError
-from repro.types import CellRef, TupleRef
+from repro.types import TupleRef
 
 from conftest import build_figure1_connection
 

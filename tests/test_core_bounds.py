@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bounds import BoundsChoice, BoundsSetting, TrainingSample
+from repro.core.bounds import BoundsSetting, TrainingSample
 from repro.types import ScoredTuple, TupleRef
 
 

@@ -325,27 +325,56 @@ class TestTracedPipeline:
     def test_trace_tree_shape(self, traced_setup):
         _, _, report, _ = traced_setup
         assert report.trace is not None
-        names = span_names(report.trace)
-        assert names[0] == "insert_annotation"
-        for expected in (
+        assert report.trace["name"] == "insert_annotation"
+        # A full-search insert is a one-member batch: its Stage 1-3 spans
+        # hang directly off the root, with no analyze umbrella.
+        assert [c["name"] for c in report.trace["children"]] == [
+            "stage0.store",
+            "stage1.maps",
+            "stage1.context",
+            "stage1.queries",
+            "stage2.batch_execute",
+            "stage3.curate",
+        ]
+        assert "analyze" not in span_names(report.trace)
+        assert report.trace["attributes"]["annotation_id"] == report.annotation_id
+
+    def test_spreading_insert_nests_analyze(self):
+        db = generate_bio_database(
+            BioDatabaseSpec(genes=30, proteins=18, publications=100, seed=13)
+        )
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            nebula = Nebula(
+                db.backend,
+                db.meta,
+                NebulaConfig(epsilon=0.6, tracing=True),
+                aliases=db.aliases,
+                metrics=registry,
+            )
+            genes, _ = db.community_members(0)
+            report = nebula.insert_annotation(
+                f"Gene {genes[2].gid} again.",
+                attach_to=[db.resolve("gene", genes[0].gid)],
+                use_spreading=True,
+                radius=2,
+            )
+        finally:
+            set_metrics(previous)
+        assert report.mode == "spreading"
+        assert [c["name"] for c in report.trace["children"]] == [
             "stage0.store",
             "analyze",
+            "stage3.curate",
+        ]
+        analyze = report.trace["children"][1]
+        assert [c["name"] for c in analyze["children"]] == [
             "stage1.maps",
             "stage1.context",
             "stage1.queries",
             "stage2.execute",
-            "stage3.curate",
-        ):
-            assert expected in names
-        # analyze holds the stage1/stage2 spans as children.
-        analyze = next(
-            c for c in report.trace["children"] if c["name"] == "analyze"
-        )
-        assert {c["name"] for c in analyze["children"]} >= {
-            "stage1.maps",
-            "stage2.execute",
-        }
-        assert report.trace["attributes"]["annotation_id"] == report.annotation_id
+        ]
 
     def test_trace_persisted_and_buffered(self, traced_setup):
         _, nebula, report, trace_path = traced_setup

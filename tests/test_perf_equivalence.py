@@ -212,12 +212,19 @@ class TestSharedExecutionEquivalence:
         db2, degraded = fresh_world(
             NebulaConfig(epsilon=0.6, fault_injector=faults)
         )
-        requests = sample_requests(db2, count=4)
+        *batch, single = sample_requests(db2, count=5)
 
-        clean_reports = clean.insert_annotations(requests)
-        faults.arm("executor.run")
-        degraded_reports = degraded.insert_annotations(requests)
+        def ingest(nebula):
+            return nebula.insert_annotations(batch) + [
+                nebula.insert_annotation(single.text, attach_to=single.focal)
+            ]
 
+        clean_reports = ingest(clean)
+        faults.arm("executor.run", times=2)
+        degraded_reports = ingest(degraded)
+
+        # Both calls, the batch and the single insert, took the fallback.
+        assert faults.fired("executor.run") == 2
         assert all(EXECUTOR_FALLBACK in r.degradations for r in degraded_reports)
         stripped = [report_key(r) for r in degraded_reports]
         assert stripped == [report_key(r) for r in clean_reports]

@@ -9,6 +9,7 @@ from repro import Nebula, NebulaConfig, generate_bio_database
 from repro.datagen.biodb import BioDatabaseSpec
 from repro.errors import DeadLetterError, PipelineStageError, TransientStorageError
 from repro.observability import MetricsRegistry, set_metrics
+from repro.perf import AnnotationRequest
 from repro.resilience import (
     CONTEXT_FALLBACK,
     EXECUTOR_FALLBACK,
@@ -414,6 +415,29 @@ class TestResilienceMetrics:
         assert len(reports) == 1
         assert metrics.snapshot()["gauges"]["nebula_dead_letters_pending"] == 0
         assert self.counter(metrics, key) == 1  # capture count is monotonic
+
+    @pytest.mark.parametrize(
+        "target", ["generate_queries", "identify_related_tuples"]
+    )
+    def test_batch_stage1_2_failure_is_labelled_analyze(
+        self, db, nebula, metrics, monkeypatch, target
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError(f"{target} exploded")
+
+        monkeypatch.setattr(f"repro.core.nebula.{target}", broken)
+        genes, _ = db.community_members(0)
+        requests = [
+            AnnotationRequest.build(f"gene {genes[1].gid} here.", author="alice"),
+            AnnotationRequest.build(f"gene {genes[2].gid} too."),
+        ]
+        with pytest.raises(PipelineStageError) as exc_info:
+            nebula.insert_annotations(requests)
+        assert exc_info.value.stage == "pipeline.analyze"
+        letters = nebula.dead_letters.pending()
+        assert [letter.stage for letter in letters] == ["pipeline.analyze"] * 2
+        stage_key = 'nebula_stage_failures_total{stage="pipeline.analyze"}'
+        assert self.counter(metrics, stage_key) == 1
 
 
 class TestStabilityInputs:

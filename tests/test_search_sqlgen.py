@@ -6,9 +6,8 @@ import pytest
 
 from repro.meta.lexicon import DEFAULT_LEXICON
 from repro.search.configurations import enumerate_configurations
-from repro.search.engine import KeywordQuery, KeywordSearchEngine, SearchScope
+from repro.search.engine import KeywordSearchEngine
 from repro.search.sqlgen import Condition, generate_sql
-from repro.types import TupleRef
 
 from conftest import build_figure1_connection
 

@@ -1,7 +1,6 @@
 """Tests for dataset statistics, workload serialization, and the CLI."""
 
 import json
-import sqlite3
 
 import pytest
 
@@ -164,7 +163,8 @@ class TestCli:
         assert main(["trace", "--db", db_path, "--last", "1"]) == 0
         out = capsys.readouterr().out
         assert "insert_annotation" in out
-        assert "stage2.execute" in out
+        assert "stage1.maps" in out
+        assert "stage2.batch_execute" in out
 
         # --validate accepts the well-formed file...
         assert main(["trace", "--db", db_path, "--validate"]) == 0

@@ -10,7 +10,6 @@ plain Python, checking after every step that:
 * a promoted edge never reverts.
 """
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule

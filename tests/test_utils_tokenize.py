@@ -1,6 +1,6 @@
 """Unit tests for the annotation tokenizer."""
 
-from repro.utils.tokenize import STOPWORDS, Token, is_stopword, normalize_word, tokenize
+from repro.utils.tokenize import STOPWORDS, is_stopword, normalize_word, tokenize
 
 
 class TestTokenize:

@@ -177,6 +177,30 @@ class TestHistoryAppends:
     def test_delete_missing_edge_returns_false(self, log):
         assert log.delete_attachment(12345) is False
 
+    def test_bulk_insert_addresses_rows_by_primary_key(self, store, log):
+        """The read-back and the history append of a bulk insert find the
+        new rows through the primary key, not a scan of the whole table."""
+        store.insert_annotation("already there")
+        statements = []
+        store.connection.set_trace_callback(statements.append)
+        try:
+            with log.commit_scope("batch"):
+                added = store.bulk_insert_annotations([("one", None), ("two", "z")])
+        finally:
+            store.connection.set_trace_callback(None)
+        assert [a.content for a in added] == ["one", "two"]
+        lookups = [s for s in statements if "FROM _nebula_annotations WHERE" in s]
+        assert len(lookups) == 2
+        for sql in lookups:
+            plan = " ".join(
+                str(row[3])
+                for row in store.connection.execute(
+                    "EXPLAIN QUERY PLAN " + sql, (None,) * sql.count("?")
+                )
+            )
+            assert "USING INTEGER PRIMARY KEY" in plan, plan
+            assert "SCAN _nebula_annotations" not in plan, plan
+
     def test_scoped_mutations_share_one_commit(self, store, log):
         with log.commit_scope("batch") as commit_id:
             a = store.insert_annotation("one")
