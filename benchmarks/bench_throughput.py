@@ -25,7 +25,7 @@ from repro import BioDatabaseSpec, Nebula, NebulaConfig, generate_bio_database
 from repro.datagen.workload import WorkloadSpec, generate_workload
 from repro.perf import AnnotationRequest
 
-from conftest import RESULTS_DIR, report, table
+from conftest import BASE_SPEC, RESULTS_DIR, SCALES, report, table
 
 #: Smoke mode: small world, relaxed speedup bar — used by CI's bench-smoke
 #: job where the point is "the fast path works and is not a regression",
@@ -38,19 +38,30 @@ FULL_SPEC = BioDatabaseSpec(
 )
 
 
+def _fresh_mid_world():
+    """A freshly generated D_mid database and an engine over it.
+
+    Each strategy row (and the pytest-benchmark loop) ingests into its
+    own world: sharing one database would hand every later row the
+    earlier rows' annotations, ACG edges and warm ``db.meta`` memo, so
+    the rows would depend on their order.
+    """
+    db = generate_bio_database(BASE_SPEC.scaled(SCALES["mid"]))
+    nebula = Nebula(
+        db.backend, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
+    )
+    return db, nebula
+
+
 @pytest.mark.benchmark(group="throughput")
-def test_insert_throughput(benchmark, dataset_mid):
-    db, _ = dataset_mid
-    # Fresh workloads per strategy so insertions never collide.
+def test_insert_throughput(benchmark):
     rows = []
     rates = {}
     for label, kwargs in (
         ("full", {"use_spreading": False}),
         ("spreading K=2", {"use_spreading": True, "radius": 2}),
     ):
-        nebula = Nebula(
-            db.backend, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
-        )
+        db, nebula = _fresh_mid_world()
         workload = generate_workload(db, WorkloadSpec(seed=61))
         annotations = workload.group(100) + workload.group(500)
         started = time.perf_counter()
@@ -69,6 +80,7 @@ def test_insert_throughput(benchmark, dataset_mid):
             [label, len(annotations), elapsed * 1e3 / len(annotations),
              rate, tasks_created]
         )
+        db.backend.close()
     report(
         "throughput",
         table(
@@ -81,8 +93,7 @@ def test_insert_throughput(benchmark, dataset_mid):
     # Sanity: every strategy sustains a usable interactive rate.
     assert all(rate > 10 for rate in rates.values())
 
-    nebula = Nebula(db.backend, db.meta, NebulaConfig(epsilon=0.6),
-                    aliases=db.aliases)
+    db, nebula = _fresh_mid_world()
     workload = generate_workload(db, WorkloadSpec(seed=67))
     samples = iter(workload.annotations * 50)
 
@@ -91,6 +102,7 @@ def test_insert_throughput(benchmark, dataset_mid):
         nebula.insert_annotation(annotation.text, attach_to=annotation.focal(1))
 
     benchmark(insert_one)
+    db.backend.close()
 
 
 # ----------------------------------------------------------------------

@@ -60,7 +60,6 @@ from .observability import (
     NOOP_TRACER,
     PhaseQuantiles,
     RingBufferExporter,
-    SqlProfiler,
     StreamingQuantiles,
     TelemetryServer,
     Tracer,
@@ -195,7 +194,6 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "set_metrics",
-    "SqlProfiler",
     "StreamingQuantiles",
     "PhaseQuantiles",
     "EventLog",

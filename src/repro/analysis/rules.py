@@ -25,8 +25,7 @@ NBL004     Paper invariants (edges): ``TRUE_EDGE_WEIGHT`` must be
            ``kind=PREDICTED`` (or via ``attach_predicted``) must lie
            strictly inside (0, 1); True-edge literals must be 1.0.
 NBL005     Trace taxonomy: every literal ``tracer.span("...")`` name
-           and every ``SPAN_NAMES`` mapping value must appear in
-           :data:`repro.observability.stages.CANONICAL_STAGES`.
+           must appear in :data:`repro.observability.stages.CANONICAL_STAGES`.
 NBL006     Resource hygiene: driver ``connect()`` (``sqlite3`` or the
            ``repro.storage.compat`` adapter), ``.cursor()``,
            pool/backend ``.acquire()`` / ``.open_reader()``, and the
@@ -625,28 +624,6 @@ def check_span_registry(ctx: ModuleContext) -> Iterator[Finding]:
                         snippet=ctx.snippet(node.lineno),
                         details={"span": name},
                     )
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "SPAN_NAMES"
-            and isinstance(node.value, ast.Dict)
-        ):
-            for value in node.value.values:
-                if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                    if value.value not in CANONICAL_STAGES:
-                        yield Finding(
-                            rule_id="NBL005",
-                            path=ctx.path,
-                            line=value.lineno,
-                            message=(
-                                f"SPAN_NAMES value {value.value!r} is not in "
-                                "the canonical stage registry"
-                            ),
-                            fix_hint="register the stage in CANONICAL_STAGES",
-                            snippet=ctx.snippet(value.lineno),
-                            details={"span": value.value},
-                        )
 
 
 # ----------------------------------------------------------------------

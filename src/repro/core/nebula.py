@@ -116,6 +116,9 @@ class DiscoveryReport:
     #: back to a simpler technique while producing this report (see
     #: :mod:`repro.resilience.degradation`).  Empty on a clean run.
     degradations: List[str] = field(default_factory=list)
+    #: Wall seconds of the call that produced this report: the analysis
+    #: for :meth:`Nebula.analyze`, the whole ingestion call (shared by
+    #: every report of a batch) for the insert paths.
     elapsed: float = 0.0
     #: The finished trace tree of this pass (root-span dict), populated
     #: only when tracing is enabled on the engine.
@@ -528,8 +531,7 @@ class Nebula:
             span.set_attribute("query_count", report.query_count)
             span.set_attribute("candidates", len(report.candidates))
             span.set_attribute("tasks", len(report.tasks))
-        report.elapsed = time.perf_counter() - started
-        self._record_call([report], report.elapsed)
+        self._record_call([report], started)
         return report
 
     def insert_annotations(
@@ -582,20 +584,21 @@ class Nebula:
                 request_id=request_id,
                 note=f"batch of {len(requests)}",
             )
-            elapsed = time.perf_counter() - started
             span.set_attribute("batch_size", len(requests))
             span.set_attribute(
                 "quarantined", sum(1 for r in reports if r.spam_verdict is not None)
             )
-            span.set_attribute("elapsed", elapsed)
-        self._record_call(reports, elapsed)
+        self._record_call(reports, started)
         return reports
 
-    def _record_call(self, reports: Sequence[DiscoveryReport], elapsed: float) -> None:
-        """Call-level bookkeeping after a successful ingestion call."""
+    def _record_call(self, reports: Sequence[DiscoveryReport], started: float) -> None:
+        """Call-level bookkeeping after a successful ingestion call; every
+        report's ``elapsed`` becomes the call's wall time since ``started``."""
+        elapsed = time.perf_counter() - started
         self._m_insert_seconds.observe(elapsed)
         self._m_acg_edges.set(self.acg.edge_count)
         for report in reports:
+            report.elapsed = elapsed
             self._attach_trace(report)
 
     def _ingest(
@@ -764,7 +767,6 @@ class Nebula:
         decision_totals: Dict[str, int],
     ) -> Tuple[DiscoveryReport, Tuple[int, int, bool]]:
         """Run the ACG-order-dependent tail of the pipeline for one member."""
-        member_started = time.perf_counter()
         focal = request.focal
         edges_before = self.acg.edge_count
         focal_new_edges = 0
@@ -809,7 +811,6 @@ class Nebula:
             # Footnote-1 guard: a spam-like annotation is quarantined —
             # its focal stays, but no predicted attachments are created.
             report.spam_verdict = verdict
-            report.elapsed = time.perf_counter() - member_started
             return report, (len(focal), focal_new_edges, True)
 
         # Stage 3 — triage the candidates into verification tasks.
@@ -828,7 +829,6 @@ class Nebula:
         accepted = sum(1 for t in report.tasks if t.decision.is_accepted)
         for decision, count in _decision_counts(report.tasks).items():
             decision_totals[decision] = decision_totals.get(decision, 0) + count
-        report.elapsed = time.perf_counter() - member_started
         # ACG delta across the member: focal edges + edges from
         # auto-accepted attachments (added during triage).
         return report, (

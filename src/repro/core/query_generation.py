@@ -20,20 +20,20 @@ per-phase split.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import NebulaConfig
 from ..meta.repository import NebulaMeta
 from ..observability.metrics import TIME_BUCKETS, get_metrics
-from ..observability.tracing import TracerLike
+from ..observability.tracing import NOOP_TRACER, TracerLike
 from ..resilience.degradation import (
     CONTEXT_FALLBACK,
     count_degradation,
     logger as _resilience_logger,
 )
 from ..search.engine import KeywordQuery
-from ..utils.timer import PhaseTimer
 from ..utils.tokenize import normalize_word, tokenize
 from .context_adjust import MatchReport, adjust_context_weights
 from .signature_maps import (
@@ -51,13 +51,6 @@ from .signature_maps import (
 PHASE_MAPS = "map_generation"
 PHASE_CONTEXT = "context_adjustment"
 PHASE_QUERIES = "query_formation"
-
-#: Trace span per Figure 11a phase (the stage-1 part of the taxonomy).
-SPAN_NAMES = {
-    PHASE_MAPS: "stage1.maps",
-    PHASE_CONTEXT: "stage1.context",
-    PHASE_QUERIES: "stage1.queries",
-}
 
 
 @dataclass(frozen=True)
@@ -92,22 +85,23 @@ def generate_queries(
     text: str,
     meta: NebulaMeta,
     config: NebulaConfig,
-    tracer: Optional[TracerLike] = None,
+    tracer: TracerLike = NOOP_TRACER,
 ) -> QueryGenerationResult:
     """Run QueryGeneration() on one annotation's text.
 
-    ``tracer`` (optional) threads the enclosing trace through: the three
-    Figure 11a phases then appear as ``stage1.maps`` / ``stage1.context``
-    / ``stage1.queries`` spans, measured by the same stopwatches that
-    fill ``phase_times``.
+    The three Figure 11a phases run as the ``stage1.maps`` /
+    ``stage1.context`` / ``stage1.queries`` spans of ``tracer``; one
+    clock read at each of the four phase boundaries fills
+    ``phase_times``.
     """
-    timer = PhaseTimer(tracer=tracer, span_names=SPAN_NAMES)
-    with timer.phase(PHASE_MAPS):
+    started = time.perf_counter()
+    with tracer.span("stage1.maps"):
         tokens = tokenize(text)
         concept_entries = build_concept_map(tokens, meta, config.epsilon)
         value_entries = build_value_map(tokens, meta, config.epsilon)
+    maps_done = time.perf_counter()
     degradations: List[str] = []
-    with timer.phase(PHASE_CONTEXT):
+    with tracer.span("stage1.context"):
         context_map = overlay_maps(tokens, concept_entries, value_entries)
         reports: List[MatchReport] = []
         if config.context_adjustment:
@@ -123,10 +117,16 @@ def generate_queries(
                 context_map = overlay_maps(tokens, concept_entries, value_entries)
                 degradations.append(CONTEXT_FALLBACK)
                 count_degradation(CONTEXT_FALLBACK)
-    with timer.phase(PHASE_QUERIES):
+    context_done = time.perf_counter()
+    with tracer.span("stage1.queries"):
         candidates = _form_candidates(context_map, config)
         queries = _finalize(candidates, config)
-    phase_times = timer.totals()
+    finished = time.perf_counter()
+    phase_times = {
+        PHASE_MAPS: maps_done - started,
+        PHASE_CONTEXT: context_done - maps_done,
+        PHASE_QUERIES: finished - context_done,
+    }
     _count_generation(queries, phase_times)
     return QueryGenerationResult(
         queries=queries,

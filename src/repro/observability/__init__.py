@@ -1,6 +1,6 @@
-"""Observability for the Nebula pipeline: tracing, metrics, profiling.
+"""Observability for the Nebula pipeline: tracing and metrics.
 
-Three cooperating pieces, none needing external dependencies:
+Two cooperating pieces, none needing external dependencies:
 
 * :mod:`~repro.observability.tracing` — nested spans over the Figure 16
   stages, exported per-trace to an in-memory ring buffer and/or a JSONL
@@ -9,9 +9,7 @@ Three cooperating pieces, none needing external dependencies:
   fixed-bucket histograms in a process-wide registry
   (:func:`get_metrics`), covering ingestion, query generation per type,
   SQL execution, scoring, shared-execution savings, and every
-  resilience event (retries, degradations, dead letters);
-* :mod:`~repro.observability.profiling` — bounded per-SQL-statement
-  timing and row counts inside the keyword-search engine.
+  resilience event (retries, degradations, dead letters).
 
 See ``docs/observability.md`` for the span taxonomy and metric catalog,
 and how each metric maps back to the paper's figures.
@@ -42,7 +40,6 @@ from .metrics import (
     non_zero_counters,
     set_metrics,
 )
-from .profiling import SqlProfiler, StatementProfile
 from .quantiles import (
     SERVICE_PERCENTILES,
     PhaseQuantiles,
@@ -94,9 +91,6 @@ __all__ = [
     "non_zero_counters",
     "TIME_BUCKETS",
     "COUNT_BUCKETS",
-    # profiling
-    "SqlProfiler",
-    "StatementProfile",
     # quantiles
     "StreamingQuantiles",
     "PhaseQuantiles",

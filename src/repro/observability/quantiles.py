@@ -107,7 +107,7 @@ class StreamingQuantiles:
     ) -> Dict[str, float]:
         """Named percentiles of the window, e.g. ``{"p50": ..., ...}``.
 
-        One sort serves every requested point (the publish hot path).
+        One sort serves every requested point.
         """
         with self._lock:
             ordered = sorted(self._values)
@@ -131,7 +131,7 @@ class StreamingQuantiles:
         values = [float(v) for v in snapshot.get("values", [])]
         with self._lock:
             self._values = values[-self.window:]
-            self._next = 0 if len(self._values) < self.window else 0
+            self._next = 0
             self._count = max(int(snapshot.get("count", len(values))), len(values))
 
 

@@ -5,10 +5,6 @@ pipeline must appear here — the static analyzer (``repro.analysis``,
 rule NBL005) enforces it, so a typo'd stage name fails CI instead of
 silently fragmenting the Figure 16 trace taxonomy documented in
 ``docs/observability.md``.
-
-Composite helpers (``PhaseTimer``) build span names from this registry
-via mappings like ``repro.core.query_generation.SPAN_NAMES``; those
-mapping *values* are validated the same way.
 """
 
 from __future__ import annotations

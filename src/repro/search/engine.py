@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..errors import EmptyQueryError
 from ..observability.metrics import MetricsRegistry, TIME_BUCKETS, get_metrics
-from ..observability.profiling import SqlProfiler
 from ..perf.cache import AnalysisCache
 from ..resilience.retry import RetryPolicy
 from ..storage.compat import Connection
@@ -124,7 +123,6 @@ class SearchResult:
     query: KeywordQuery
     tuples: List[ScoredTuple]
     sql_queries: List[GeneratedSQL] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def refs(self) -> List[TupleRef]:
@@ -144,7 +142,6 @@ class KeywordSearchEngine:
         max_configurations: int = 24,
         retry: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[SqlProfiler] = None,
         analysis_cache: Optional[AnalysisCache] = None,
         index: Optional[InvertedValueIndex] = None,
     ) -> None:
@@ -167,8 +164,6 @@ class KeywordSearchEngine:
             cache=analysis_cache,
         )
         self.max_configurations = max_configurations
-        #: Per-statement timing/row-count aggregation (``repro stats``).
-        self.profiler = profiler if profiler is not None else SqlProfiler()
         metrics = metrics if metrics is not None else get_metrics()
         # Instrument handles are resolved once: the execute path must not
         # pay a registry lookup per statement.
@@ -231,24 +226,24 @@ class KeywordSearchEngine:
         """Run one generated query, returning target-table rowids.
 
         Transient lock/busy errors are retried when a policy is set.
-        Every execution is profiled: per-statement wall-clock and row
-        counts feed ``self.profiler`` and the metrics registry.
         """
         rows = self.execute_rows(generated.sql, generated.params)
         return [int(r[0]) for r in rows]
 
     def execute_rows(self, sql: str, params: Sequence = ()) -> List:
-        """Run one SQL statement with retry + profiling, returning rows."""
+        """Run one SQL statement with retry, returning rows.
+
+        One clock pair per statement feeds ``nebula_sql_statement_seconds``
+        beside the statement and row counters.
+        """
         def run() -> List:
             return self.connection.execute(sql, params).fetchall()
 
         started = time.perf_counter()
         rows = self.retry.run(run, sql) if self.retry is not None else run()
-        elapsed = time.perf_counter() - started
-        self.profiler.record(sql, elapsed, len(rows))
+        self._m_seconds.observe(time.perf_counter() - started)
         self._m_statements.inc()
         self._m_rows.inc(len(rows))
-        self._m_seconds.observe(elapsed)
         return rows
 
     def search(
@@ -259,7 +254,6 @@ class KeywordSearchEngine:
         Each answered tuple's confidence is the best confidence among the
         configurations that produced it.
         """
-        started = time.perf_counter()
         generated = self.generate(query, scope)
         best: Dict[TupleRef, float] = {}
         for sql_query in generated:
@@ -271,9 +265,4 @@ class KeywordSearchEngine:
             ScoredTuple(ref=ref, confidence=conf, provenance=(query.describe(),))
             for ref, conf in sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
         ]
-        return SearchResult(
-            query=query,
-            tuples=tuples,
-            sql_queries=generated,
-            elapsed=time.perf_counter() - started,
-        )
+        return SearchResult(query=query, tuples=tuples, sql_queries=generated)

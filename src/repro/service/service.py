@@ -265,7 +265,8 @@ class AnnotationService:
             float(self.config.queue_capacity)
         )
         #: Streaming p50/p95/p99 per latency phase, published as
-        #: ``nebula_service_latency_seconds{phase,quantile}`` gauges.
+        #: ``nebula_service_latency_seconds{phase,quantile}`` gauges when
+        #: they are read: by every exposition render and once in stop().
         self.latency = PhaseQuantiles(
             self.metrics,
             "nebula_service_latency_seconds",
@@ -327,6 +328,7 @@ class AnnotationService:
                 )
             )
         self._update_depth_gauge()
+        self.latency.publish()
         return clean and not stranded and self._crash is None
 
     def __enter__(self) -> "AnnotationService":
@@ -650,7 +652,6 @@ class AnnotationService:
         self._m_batch_size.observe(float(len(live)))
         self.latency.observe("flush", elapsed)
         self._m_flush_seconds.observe(elapsed)
-        self.latency.publish()
         self.events.emit(
             "batch_flushed",
             batch_id=batch_id,

@@ -1,7 +1,6 @@
-"""Small shared utilities: tokenization, timing, and deterministic RNG."""
+"""Small shared utilities: tokenization, SQL quoting, and deterministic RNG."""
 
 from .tokenize import Token, tokenize, normalize_word, is_stopword, STOPWORDS
-from .timer import Stopwatch, PhaseTimer
 from .rng import make_rng
 from .sql import quote_identifier, quote_qualified
 
@@ -13,7 +12,5 @@ __all__ = [
     "normalize_word",
     "is_stopword",
     "STOPWORDS",
-    "Stopwatch",
-    "PhaseTimer",
     "make_rng",
 ]

@@ -337,13 +337,6 @@ class TestSpanRegistry:
         )
         assert rule_ids(findings) == ["NBL005"]
 
-    def test_span_names_mapping_values_checked(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            'SPAN_NAMES = {"maps": "stage1.maps", "rogue": "stageX.rogue"}\n',
-        )
-        assert rule_ids(findings) == ["NBL005"]
-
     def test_non_tracer_receiver_not_matched(self, tmp_path):
         findings = lint(
             tmp_path,

@@ -1,8 +1,11 @@
 """Unit tests for keyword-query generation (Stage 1, Step 4)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import NebulaConfig
+from repro.core import query_generation
 from repro.core.query_generation import generate_queries
 from repro.utils.tokenize import normalize_word
 
@@ -94,12 +97,28 @@ class TestCutoffBehavior:
         tight = generate_queries(text, meta, NebulaConfig(epsilon=0.8))
         assert len(loose.queries) >= len(mid.queries) >= len(tight.queries)
 
-    def test_phase_times_recorded(self, meta):
+    def test_phase_times_recorded(self, meta, monkeypatch):
         result = generate_queries("gene JW0014", meta, NebulaConfig())
         assert set(result.phase_times) == {
             "map_generation", "context_adjustment", "query_formation",
         }
         assert result.total_time > 0.0
+        # One clock read per phase boundary: each phase is the delta of
+        # its two boundary reads, and the phases sum to the whole span.
+        reads = iter([10.0, 10.5, 11.25, 13.0])
+        monkeypatch.setattr(
+            query_generation,
+            "time",
+            SimpleNamespace(perf_counter=lambda: next(reads)),
+        )
+        pinned = generate_queries("gene JW0014", meta, NebulaConfig())
+        assert next(reads, None) is None
+        assert pinned.phase_times == {
+            "map_generation": 0.5,
+            "context_adjustment": 0.75,
+            "query_formation": 1.75,
+        }
+        assert pinned.total_time == 3.0
 
     def test_max_keywords_respected(self, meta):
         result = generate_queries("gene id JW0018", meta, NebulaConfig())

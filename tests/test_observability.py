@@ -20,7 +20,6 @@ from repro.observability import (
     MetricsRegistry,
     NoopTracer,
     RingBufferExporter,
-    SqlProfiler,
     Tracer,
     encode_key,
     format_trace,
@@ -30,7 +29,6 @@ from repro.observability import (
     span_names,
     validate_trace_file,
 )
-from repro.observability.profiling import OVERFLOW_KEY
 
 
 # ----------------------------------------------------------------------
@@ -267,31 +265,6 @@ class TestRegistry:
         assert get_metrics() is previous
 
 
-class TestSqlProfiler:
-    def test_aggregates_per_statement(self):
-        profiler = SqlProfiler()
-        profiler.record("SELECT 1", 0.010, 5)
-        profiler.record("SELECT 1", 0.020, 7)
-        profiler.record("SELECT 2", 0.001, 1)
-        (top,) = profiler.top(1)
-        assert top.sql == "SELECT 1"
-        assert top.calls == 2
-        assert top.rows == 12
-        assert top.total_seconds == pytest.approx(0.030)
-        assert profiler.statement_count == 2
-        assert profiler.total_calls == 3
-
-    def test_overflow_collapses_into_other(self):
-        profiler = SqlProfiler(max_statements=2)
-        profiler.record("a", 0.001, 1)
-        profiler.record("b", 0.001, 1)
-        profiler.record("c", 0.001, 1)
-        profiler.record("d", 0.001, 1)
-        assert profiler.statement_count == 3  # a, b, <other>
-        overflow = {p.sql: p for p in profiler.top(10)}[OVERFLOW_KEY]
-        assert overflow.calls == 2
-
-
 # ----------------------------------------------------------------------
 # End-to-end: a traced ingestion
 # ----------------------------------------------------------------------
@@ -394,11 +367,6 @@ class TestTracedPipeline:
             "nebula_tuples_scored_total",
         ):
             assert key in hits
-
-    def test_sql_profiler_saw_the_statements(self, traced_setup):
-        _, nebula, _, _ = traced_setup
-        assert nebula.engine.profiler.total_calls >= 1
-        assert nebula.engine.profiler.top(1)[0].calls >= 1
 
     def test_nested_analyze_does_not_export_its_own_trace(self, traced_setup):
         _, nebula, _, trace_path = traced_setup

@@ -28,6 +28,7 @@ from repro import (
 from repro.core.shared_execution import SharedExecutor
 from repro.datagen.workload import WorkloadSpec, generate_workload
 from repro.errors import PipelineStageError
+from repro.observability import TIME_BUCKETS
 from repro.perf import AnnotationRequest
 from repro.resilience.degradation import EXECUTOR_FALLBACK
 from repro.resilience.faults import FaultInjector
@@ -121,6 +122,10 @@ class TestBatchEquivalence:
             )
             for r in requests
         ]
+        insert_seconds = batched.metrics.histogram(
+            "nebula_insert_seconds", TIME_BUCKETS
+        )
+        calls_before = insert_seconds.count
         batch_reports = batched.insert_annotations(requests)
 
         assert [report_key(r) for r in batch_reports] == [
@@ -129,6 +134,11 @@ class TestBatchEquivalence:
         assert world_state(batched) == world_state(sequential)
         # The pooled pass actually shared work across annotations.
         assert batched.executor.last_stats.saved_statements > 0
+        # One call, one clock: every report carries the call's wall
+        # time, observed once into nebula_insert_seconds.
+        assert len({r.elapsed for r in batch_reports}) == 1
+        assert batch_reports[0].elapsed > 0.0
+        assert insert_seconds.count == calls_before + 1
 
     def test_single_member_batch_matches_insert(self):
         _, sequential = fresh_world()

@@ -148,6 +148,12 @@ class TestDegradation:
         report = nebula.analyze(f"gene {db.genes[3].gid} mentioned.")
         assert CONTEXT_FALLBACK in report.degradations
         assert report.generation.queries  # still searched something
+        # The fallback runs inside the context phase: all three phases
+        # are still timed.
+        assert set(report.generation.phase_times) == {
+            "map_generation", "context_adjustment", "query_formation",
+        }
+        assert all(t >= 0.0 for t in report.generation.phase_times.values())
 
     def test_mini_drop_fault_leaks_but_does_not_mask(self, db, nebula, monkeypatch):
         genes, _ = db.community_members(0)

@@ -230,6 +230,26 @@ class TestTracePropagation:
         health = service.health()
         assert set(health["latency_seconds"]) == {"queue", "flush", "e2e"}
 
+    def test_latency_gauges_publish_on_stop_not_per_flush(
+        self, db, nebula, monkeypatch
+    ):
+        service = make_service(nebula).start()
+        publishes = []
+        publish = service.latency.publish
+        monkeypatch.setattr(
+            service.latency, "publish", lambda: publishes.append(1) or publish()
+        )
+        for text in texts(db, 6):
+            service.ingest(text, timeout=30.0)
+        assert publishes == []  # flushes leave the gauges to their readers
+        service.stop()
+        assert publishes == [1]
+        gauge = service.metrics.gauge(
+            "nebula_service_latency_seconds", {"phase": "e2e", "quantile": "p50"}
+        )
+        assert gauge.value == service.stats().e2e_seconds["p50"]
+        assert gauge.value > 0.0
+
 
 # ----------------------------------------------------------------------
 # Chaos: failures stay correlated

@@ -1,59 +1,10 @@
-"""Unit tests for timers, RNG helpers, and the configuration object."""
+"""Unit tests for RNG helpers and the configuration object."""
 
 import pytest
 
 from repro.config import NEBULA_06, NEBULA_08, NebulaConfig
 from repro.errors import ConfigurationError
 from repro.utils.rng import make_rng
-from repro.utils.timer import PhaseTimer, Stopwatch
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        first = watch.elapsed
-        watch.start()
-        watch.stop()
-        assert watch.elapsed >= first
-
-    def test_double_start_is_idempotent(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.start()
-        assert watch.stop() >= 0.0
-
-    def test_stop_without_start(self):
-        assert Stopwatch().stop() == 0.0
-
-    def test_reset(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate_independently(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            pass
-        with timer.phase("b"):
-            pass
-        with timer.phase("a"):
-            pass
-        totals = timer.totals()
-        assert set(totals) == {"a", "b"}
-        assert timer.total() == pytest.approx(sum(totals.values()))
-
-    def test_phase_survives_exception(self):
-        timer = PhaseTimer()
-        with pytest.raises(ValueError):
-            with timer.phase("x"):
-                raise ValueError("boom")
-        assert "x" in timer.totals()
 
 
 class TestMakeRng:
