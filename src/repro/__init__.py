@@ -46,9 +46,7 @@ from .errors import (
     WorkloadError,
 )
 from .storage import (
-    SQLITE_DIALECT,
     ConnectionPool,
-    Dialect,
     SqliteFileBackend,
     get_backend,
 )
@@ -181,8 +179,6 @@ __all__ = [
     "DeadlineExceededError",
     # storage layer
     "ConnectionPool",
-    "Dialect",
-    "SQLITE_DIALECT",
     "SqliteFileBackend",
     "get_backend",
     # observability layer

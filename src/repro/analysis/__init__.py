@@ -3,7 +3,7 @@
 The analyzer enforces invariants the test suite cannot see — SQL
 injection shape at execute sites (now interprocedural: taint follows
 helper returns and sink parameters across call boundaries), SAVEPOINT
-pairing, the paper's β-ordering and edge-weight semantics, the
+pairing, the paper's edge-weight semantics, the
 canonical span taxonomy, sqlite resource hygiene, and the concurrency
 rules over the service plane: lock discipline (NBL009), connection
 thread-affinity (NBL010), blocking-under-lock (NBL011),

@@ -5,10 +5,9 @@ Walks a source tree (or explicit file list) and runs the full pipeline:
 1. **parse** — every file is read and parsed exactly once into the
    shared :class:`~repro.analysis.astcache.AstCache`;
 2. **project pass** — cross-module facts are computed over the whole
-   cache: ``NebulaConfig`` literal defaults (NBL003), the
-   module/class/call graph, per-function concurrency summaries with the
-   blocking and escape fixpoints (NBL009–NBL012), and the SQL taint
-   fixpoints that upgrade NBL001 to interprocedural;
+   cache: the module/class/call graph, per-function concurrency
+   summaries with the blocking and escape fixpoints (NBL009–NBL012),
+   and the SQL taint fixpoints that upgrade NBL001 to interprocedural;
 3. **rule pass** — per-file rule checks run independently per module,
    optionally across a thread pool (``jobs``), reading the immutable
    project indexes;
@@ -51,8 +50,6 @@ from .interproc import SqlFlowIndex
 from .rules import (
     ALL_RULE_IDS,
     ModuleContext,
-    SharedState,
-    check_config_invariants,
     check_driver_imports,
     check_edge_weights,
     check_metric_naming,
@@ -61,7 +58,6 @@ from .rules import (
     check_span_registry,
     check_sql_safety,
     check_versioned_writes,
-    collect_config_defaults,
 )
 
 __all__ = [
@@ -123,12 +119,10 @@ class ProjectState:
 
     def __init__(self, modules: Sequence[ParsedModule]) -> None:
         self.cache_order: Tuple[ParsedModule, ...] = tuple(modules)
-        self.shared = SharedState()
-        self.contexts: Dict[str, ModuleContext] = {}
-        for parsed in modules:
-            ctx = ModuleContext(parsed.path, parsed.tree, parsed.source)
-            self.contexts[parsed.path] = ctx
-            collect_config_defaults(ctx, self.shared)
+        self.contexts: Dict[str, ModuleContext] = {
+            parsed.path: ModuleContext(parsed.path, parsed.tree, parsed.source)
+            for parsed in modules
+        }
         self.graph: ProjectGraph = build_project_graph(modules)
         self.sql_flow: SqlFlowIndex = SqlFlowIndex.build(self.graph)
         self.concurrency: ConcurrencyIndex = ConcurrencyIndex.build(self.graph)
@@ -161,8 +155,6 @@ def _file_findings(
         raw.extend(state.sql_flow.call_site_findings(ctx.path, ctx.snippet))
     if "NBL002" in enabled:
         raw.extend(check_savepoint_pairing(ctx))
-    if "NBL003" in enabled:
-        raw.extend(check_config_invariants(ctx, state.shared))
     if "NBL004" in enabled:
         raw.extend(check_edge_weights(ctx))
     if "NBL005" in enabled:

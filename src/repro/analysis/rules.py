@@ -1,8 +1,9 @@
 """The nebula-lint rule set.
 
-Thirteen AST-based rules over the repo's own source, each encoding an
-invariant the runtime layers depend on.  NBL001–NBL008 and NBL013 are
-intra-module and live here; NBL009–NBL012 reason over the interprocedural core
+Twelve AST-based rules over the repo's own source, each encoding an
+invariant the runtime layers depend on.  NBL001, NBL002, NBL004–NBL008
+and NBL013 are intra-module and live here; NBL009–NBL012 reason over
+the interprocedural core
 (:mod:`repro.analysis.graphs` / :mod:`repro.analysis.summaries`) and
 live in :mod:`repro.analysis.concurrency` — they are registered in
 :data:`RULE_DOCS` below so the engine and CLI see one catalog.
@@ -16,10 +17,8 @@ NBL002     Transaction discipline: every executed ``SAVEPOINT`` must
            have a matching ``RELEASE`` / ``ROLLBACK TO`` in the same
            function, unless the module is the registered boundary
            helper (``repro/resilience/boundaries.py``).
-NBL003     Paper invariants (config): ``NebulaConfig`` literal
-           defaults — and literal keyword overrides at construction
-           sites — must satisfy β1 > β2 > β3 > 0, ε ∈ (0, 1],
-           0 ≤ β_lower ≤ β_upper ≤ 1, α ≥ 1, pool_size ≥ 1.
+NBL003     Retired: ``NebulaConfig.__post_init__`` rejects the paper
+           parameter violations it checked.
 NBL004     Paper invariants (edges): ``TRUE_EDGE_WEIGHT`` must be
            exactly 1.0; literal confidences attached with
            ``kind=PREDICTED`` (or via ``attach_predicted``) must lie
@@ -112,10 +111,6 @@ _ROLLBACK_TO_RE = re.compile(
     r"^\s*ROLLBACK\s+TO\s+(?:SAVEPOINT\s+)?(?P<name>\S+)", re.IGNORECASE
 )
 
-#: β/ε/α field names whose literal defaults NBL003 validates.
-_CONFIG_CLASS = "NebulaConfig"
-
-
 def _is_test_path(path: str) -> bool:
     parts = path.replace("\\", "/").split("/")
     name = parts[-1]
@@ -149,14 +144,6 @@ class ModuleContext:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-
-class SharedState:
-    """Cross-module facts collected before the rule pass (NBL003)."""
-
-    def __init__(self) -> None:
-        #: Literal NebulaConfig field defaults: name -> (value, path, line).
-        self.config_defaults: Dict[str, Tuple[float, str, int]] = {}
 
 
 # ----------------------------------------------------------------------
@@ -369,138 +356,6 @@ def _enclosing_name(ctx: ModuleContext, lineno: int) -> str:
         if func.lineno <= lineno <= end:
             best = func.name
     return best
-
-
-# ----------------------------------------------------------------------
-# NBL003 — configuration invariants
-# ----------------------------------------------------------------------
-
-
-def collect_config_defaults(ctx: ModuleContext, state: SharedState) -> None:
-    for node in ast.walk(ctx.tree):
-        if not (isinstance(node, ast.ClassDef) and node.name == _CONFIG_CLASS):
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, (int, float))
-                and not isinstance(stmt.value.value, bool)
-            ):
-                state.config_defaults[stmt.target.id] = (
-                    float(stmt.value.value),
-                    ctx.path,
-                    stmt.lineno,
-                )
-
-
-def _config_violations(
-    values: Dict[str, float]
-) -> Iterator[Tuple[str, str]]:
-    """(field, message) pairs for every violated invariant in ``values``."""
-
-    def has(*names: str) -> bool:
-        return all(name in values for name in names)
-
-    if has("beta1", "beta2") and not values["beta1"] > values["beta2"]:
-        yield "beta1", (
-            f"beta1 ({values['beta1']}) must exceed beta2 ({values['beta2']}) "
-            "(Section 4.3 / §5.2.2: Type-1 > Type-2 context rewards)"
-        )
-    if has("beta2", "beta3") and not values["beta2"] > values["beta3"]:
-        yield "beta2", (
-            f"beta2 ({values['beta2']}) must exceed beta3 ({values['beta3']}) "
-            "(Type-2 > Type-3 context rewards)"
-        )
-    if has("beta3") and not values["beta3"] > 0.0:
-        yield "beta3", f"beta3 ({values['beta3']}) must be positive"
-    if has("epsilon") and not 0.0 < values["epsilon"] <= 1.0:
-        yield "epsilon", f"epsilon ({values['epsilon']}) must be in (0, 1]"
-    if has("alpha") and not values["alpha"] >= 1:
-        yield "alpha", f"alpha ({values['alpha']}) must be >= 1"
-    if has("beta_lower", "beta_upper") and not (
-        0.0 <= values["beta_lower"] <= values["beta_upper"] <= 1.0
-    ):
-        yield "beta_lower", (
-            f"verification bands must satisfy 0 <= beta_lower "
-            f"({values['beta_lower']}) <= beta_upper ({values['beta_upper']}) <= 1"
-        )
-    if has("pool_size") and not values["pool_size"] >= 1:
-        yield "pool_size", (
-            f"pool_size ({values['pool_size']}) must be >= 1 — the storage "
-            "backend needs at least one pooled connection"
-        )
-
-
-def check_config_invariants(
-    ctx: ModuleContext, state: SharedState
-) -> Iterator[Finding]:
-    # Class-level literal defaults (checked in the defining module only).
-    defaults = {
-        name: value
-        for name, (value, path, _line) in state.config_defaults.items()
-        if path == ctx.path
-    }
-    if defaults:
-        for field, message in _config_violations(
-            {k: v for k, (v, _p, _l) in state.config_defaults.items()}
-        ):
-            _value, path, line = state.config_defaults.get(
-                field, (0.0, ctx.path, 1)
-            )
-            if path != ctx.path:
-                continue
-            yield Finding(
-                rule_id="NBL003",
-                path=ctx.path,
-                line=line,
-                message=message,
-                fix_hint="restore the paper's ordering beta1 > beta2 > beta3 > 0",
-                snippet=ctx.snippet(line),
-                details={"field": field},
-            )
-
-    # Literal keyword overrides at NebulaConfig(...) construction sites,
-    # merged over the known literal defaults.
-    base = {name: value for name, (value, _p, _l) in state.config_defaults.items()}
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if name != _CONFIG_CLASS:
-            continue
-        overrides: Dict[str, float] = {}
-        for keyword in node.keywords:
-            if (
-                keyword.arg is not None
-                and isinstance(keyword.value, ast.Constant)
-                and isinstance(keyword.value.value, (int, float))
-                and not isinstance(keyword.value.value, bool)
-            ):
-                overrides[keyword.arg] = float(keyword.value.value)
-        if not overrides:
-            continue
-        merged = dict(base)
-        merged.update(overrides)
-        for field, message in _config_violations(merged):
-            if field not in overrides and not (
-                field in ("beta1", "beta2")
-                and any(k in overrides for k in ("beta1", "beta2", "beta3"))
-            ):
-                continue
-            yield Finding(
-                rule_id="NBL003",
-                path=ctx.path,
-                line=node.lineno,
-                message=f"NebulaConfig(...) override violates a paper invariant: {message}",
-                fix_hint="keep beta1 > beta2 > beta3 > 0 and bands within [0, 1]",
-                snippet=ctx.snippet(node.lineno),
-                details={"field": field, "overrides": overrides},
-            )
 
 
 # ----------------------------------------------------------------------
@@ -998,7 +853,6 @@ def check_versioned_writes(ctx: ModuleContext) -> Iterator[Finding]:
 RULE_DOCS: Dict[str, str] = {
     "NBL001": "string-built SQL at an execute site",
     "NBL002": "SAVEPOINT without matching RELEASE/ROLLBACK TO",
-    "NBL003": "NebulaConfig defaults violate a paper invariant",
     "NBL004": "edge-weight constants/literals violate Figure 2 semantics",
     "NBL005": "tracer span name missing from the canonical stage registry",
     "NBL006": "storage connection/cursor/lease opened without cleanup",

@@ -133,7 +133,6 @@ def _open_engine(
         config.storage_backend,
         path=path,
         pool_size=config.pool_size,
-        journal_mode=config.journal_mode,
         busy_timeout=config.busy_timeout,
     )
     meta = _build_meta(backend.primary)
@@ -455,13 +454,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
     ).start()
     telemetry = None
-    port = (
-        args.metrics_port
-        if args.metrics_port is not None
-        else nebula.config.metrics_port
-    )
-    if port is not None:
-        telemetry = service.serve_metrics(port=port)
+    if args.metrics_port is not None:
+        telemetry = service.serve_metrics(port=args.metrics_port)
         print(f"telemetry: {telemetry.url}metrics (scrape with `repro top`)")
     counts = {"ok": 0, "rejected": 0, "failed": 0, "searches": 0}
     lock = threading.Lock()
@@ -982,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="serve /metrics, /healthz and /readyz on this port while the "
-        "clients run (0 = ephemeral; default: config metrics_port, unset)",
+        "clients run (0 = ephemeral; default: not served)",
     )
     serve.add_argument(
         "--linger", type=float, default=0.0, metavar="SECONDS",

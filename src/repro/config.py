@@ -23,7 +23,6 @@ from typing import ClassVar, Optional
 
 from .errors import ConfigurationError
 from .resilience.faults import FaultInjector
-from .storage.backends import JOURNAL_MODES
 
 
 def _require(condition: bool, message: str) -> None:
@@ -69,23 +68,20 @@ class NebulaConfig:
     #: The storage engine :func:`repro.storage.get_backend` opens: the
     #: only one, a WAL database file.  A constant, not a field.
     storage_backend: ClassVar[str] = "sqlite-file"
-    #: Connection-pool size of the storage backend (auxiliary handles
-    #: leased by tools and readers; the primary is not pooled).
+    #: Size of the storage backend's reader pool: at most this many
+    #: read-only connections serve reads at once (the primary is not
+    #: pooled).
     pool_size: int = 4
-    #: SQLite journal mode of file-backed engines.  ``"wal"`` (the
-    #: default) lets readers run concurrently with an open write
-    #: transaction — the design the concurrent annotation service
-    #: depends on; the other modes exist for ablations and debugging.
-    journal_mode: str = "wal"
+    #: SQLite journal mode of the engine: WAL lets readers run
+    #: concurrently with an open write transaction, the design the
+    #: concurrent annotation service depends on.  A constant, not a field.
+    journal_mode: ClassVar[str] = "wal"
     #: Seconds a connection waits on a locked database before failing
     #: (``PRAGMA busy_timeout``); applied to every connection the
     #: file backend opens, readers included.
     busy_timeout: float = 5.0
     #: LRU capacity of the keyword-analysis memo cache; 0 disables it.
     analysis_cache_size: int = 2048
-    #: LRU capacity (in tokens) of the persistent index's posting-page
-    #: cache; 0 reads every page from the backend (uncached).
-    index_page_cache_size: int = 4096
     #: Enable the backward concept search special case (§5.2.3, lines 8-12).
     backward_concept_search: bool = True
     #: Enable the context-based weight adjustment (§5.2.2) — ablation knob.
@@ -110,10 +106,6 @@ class NebulaConfig:
     trace_path: Optional[str] = None
     #: Capacity of the in-memory trace ring buffer (last-N traces).
     trace_buffer_size: int = 64
-    #: Default port of the service telemetry endpoint (``/metrics``,
-    #: ``/healthz``, ``/readyz``): None = not served, 0 = ephemeral.
-    #: ``repro serve --metrics-port`` overrides it per run.
-    metrics_port: Optional[int] = None
     #: Test seam: raise scripted faults at the pipeline's named fault
     #: points (``store.add``, ``spreading.scope``, ``executor.run``,
     #: ``queue.triage``).  None in production.
@@ -143,19 +135,8 @@ class NebulaConfig:
             "retry delays must satisfy 0 <= retry_base_delay <= retry_max_delay",
         )
         _require(self.trace_buffer_size >= 1, "trace_buffer_size must be >= 1")
-        _require(
-            self.metrics_port is None or 0 <= self.metrics_port <= 65535,
-            "metrics_port must be None or in [0, 65535]",
-        )
         _require(self.analysis_cache_size >= 0, "analysis_cache_size must be >= 0")
-        _require(
-            self.index_page_cache_size >= 0, "index_page_cache_size must be >= 0"
-        )
         _require(self.pool_size >= 1, "pool_size must be >= 1")
-        _require(
-            self.journal_mode in JOURNAL_MODES,
-            f"journal_mode must be one of {sorted(JOURNAL_MODES)}",
-        )
         _require(self.busy_timeout >= 0.0, "busy_timeout must be >= 0")
 
     def with_updates(self, **changes: object) -> "NebulaConfig":

@@ -164,7 +164,6 @@ class Nebula:
         #: The engine's storage backend, passed as ``storage``; it stays
         #: owned (and closed) by its creator.
         self.backend = _storage_backend(storage, backend)
-        self.dialect = self.backend.dialect
         self.connection = self.backend.primary
         connection = self.connection
         self.retry = RetryPolicy(
@@ -214,7 +213,6 @@ class Nebula:
         self.index, self.index_source = PersistentValueIndex.open(
             connection,
             self._searchable_columns(),
-            page_cache_size=self.config.index_page_cache_size,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -246,7 +244,7 @@ class Nebula:
         )
         self.queue = VerificationQueue(self.manager, acg=self.acg, profile=self.profile)
         self.commands = CommandProcessor(self.manager, resolver=self.queue)
-        self.executor = SharedExecutor(self.engine, dialect=self.dialect)
+        self.executor = SharedExecutor(self.engine)
         self.spam_guard = SpamGuard()
         self._searchable_tuple_count = count_searchable_tuples(
             connection, [table for table, _ in self._searchable_columns()]
@@ -624,9 +622,7 @@ class Nebula:
         # still requires a non-empty focal, exactly as in analyze().
         pinned = use_spreading if use_spreading is not None else self.stability.stable
         spreading_flags = [pinned and bool(r.focal) for r in requests]
-        savepoint = Savepoint(
-            self.connection, "nebula_ingest", dialect=self.dialect
-        ).begin()
+        savepoint = Savepoint(self.connection, "nebula_ingest").begin()
         # The commit opens *inside* the SAVEPOINT: a rollback removes the
         # commit row and its history rows together.
         commit_id = self.commit_log.begin(

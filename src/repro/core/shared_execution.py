@@ -31,8 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..observability.metrics import get_metrics
 from ..search.engine import KeywordQuery, KeywordSearchEngine, SearchResult, SearchScope
 from ..search.sqlgen import GeneratedSQL
-from ..storage.dialect import SQLITE_DIALECT, Dialect
 from ..types import ScoredTuple, TupleRef
+from ..utils.sql import quote_identifier
+
+#: Bind variables one statement may carry: SQLite's historical
+#: SQLITE_MAX_VARIABLE_NUMBER default, where IN lists are split.
+MAX_VARIABLES = 999
 
 
 @dataclass
@@ -56,13 +60,8 @@ class SharedExecutionStats:
 class SharedExecutor:
     """Executes groups of keyword queries with cross-query sharing."""
 
-    def __init__(
-        self,
-        engine: KeywordSearchEngine,
-        dialect: Dialect = SQLITE_DIALECT,
-    ) -> None:
+    def __init__(self, engine: KeywordSearchEngine) -> None:
         self.engine = engine
-        self.dialect = dialect
         self.last_stats = SharedExecutionStats()
 
     # ------------------------------------------------------------------
@@ -159,7 +158,7 @@ class SharedExecutor:
             (sql_query.sql, tuple(sql_query.params)) for sql_query in direct
         ]
         #: Per merged group: how many chunked statements it contributed
-        #: (one unless the IN list exceeds the dialect's variable limit).
+        #: (one unless the IN list exceeds MAX_VARIABLES).
         batch_plan: List[Tuple[Sequence[GeneratedSQL], int]] = []
         for members in merged:
             chunked = self._batch_statements(members, scope)
@@ -213,14 +212,13 @@ class SharedExecutor:
     ) -> List[Tuple[str, Sequence[str]]]:
         """IN-list statements answering every member probe.
 
-        Normally one statement; the dialect's host-variable limit
-        (``max_variables``, 999 for SQLite) splits an oversized value set
-        into several chunks whose rows are concatenated by the caller.
+        Normally one statement; :data:`MAX_VARIABLES` splits an oversized
+        value set into several chunks whose rows are concatenated by the
+        caller.
         """
         condition = members[0].conditions[0]
         table, column = condition.table, condition.column
         values = sorted({m.conditions[0].value for m in members}, key=str.casefold)
-        quote = self.dialect.quote_identifier
         physical = table
         if scope is not None:
             physical = scope.physical.get(table.casefold(), table)
@@ -230,12 +228,13 @@ class SharedExecutor:
             if fragment:
                 suffix = f" AND {fragment}"
         statements: List[Tuple[str, Sequence[str]]] = []
-        for chunk in self.dialect.chunked(values):
+        for start in range(0, len(values), MAX_VARIABLES):
+            chunk = values[start : start + MAX_VARIABLES]
             sql = (
-                f"SELECT rowid, {quote(column)} "
-                f"FROM {quote(physical)} "
-                f"WHERE {quote(column)} COLLATE NOCASE "
-                f"IN ({self.dialect.placeholders(len(chunk))})"
+                f"SELECT rowid, {quote_identifier(column)} "
+                f"FROM {quote_identifier(physical)} "
+                f"WHERE {quote_identifier(column)} COLLATE NOCASE "
+                f"IN ({', '.join('?' * len(chunk))})"
             ) + suffix
             statements.append((sql, tuple(chunk)))
         return statements

@@ -31,29 +31,19 @@ V = TypeVar("V")
 
 
 class LruPageCache(Generic[K, V]):
-    """A plain bounded LRU map with cache accounting.
-
-    ``capacity <= 0`` disables caching entirely (every :meth:`get`
-    misses, :meth:`put` is a no-op) — the index then reads every page
-    from the backend, which is what the cold-start benchmark's
-    "uncached" mode measures.
-    """
+    """A plain bounded LRU map with cache accounting."""
 
     def __init__(
         self,
-        capacity: int = 4096,
+        capacity: int,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.capacity = max(int(capacity), 0)
+        self.capacity = capacity
         self.stats = CacheStats()
         self._pages: "OrderedDict[K, V]" = OrderedDict()
         registry = metrics if metrics is not None else get_metrics()
         self._m_hits = registry.counter("nebula_index_page_cache_hits_total")
         self._m_misses = registry.counter("nebula_index_page_cache_misses_total")
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -76,8 +66,6 @@ class LruPageCache(Generic[K, V]):
         return page
 
     def put(self, key: K, page: V) -> None:
-        if not self.enabled:
-            return
         self._pages[key] = page
         self._pages.move_to_end(key)
         while len(self._pages) > self.capacity:

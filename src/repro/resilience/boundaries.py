@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..errors import PipelineStageError
 from ..observability.metrics import get_metrics
 from ..storage.compat import Connection
-from ..storage.dialect import SQLITE_DIALECT, Dialect
+from ..utils.sql import quote_identifier
 
 #: Process-wide counter making savepoint names unique even when nested.
 _SAVEPOINT_IDS = itertools.count(1)
@@ -37,14 +37,8 @@ _SAVEPOINT_IDS = itertools.count(1)
 class Savepoint:
     """One SQLite SAVEPOINT with explicit begin/release/rollback."""
 
-    def __init__(
-        self,
-        connection: Connection,
-        label: str = "nebula",
-        dialect: Dialect = SQLITE_DIALECT,
-    ) -> None:
+    def __init__(self, connection: Connection, label: str = "nebula") -> None:
         self.connection = connection
-        self.dialect = dialect
         # SQLite identifiers: keep it alphanumeric + underscore.
         safe = "".join(c if c.isalnum() else "_" for c in label)
         self.name = f"sp_{safe}_{next(_SAVEPOINT_IDS)}"
@@ -55,21 +49,22 @@ class Savepoint:
         return self._active
 
     def begin(self) -> "Savepoint":
-        self.connection.execute(self.dialect.savepoint_statement(self.name))
+        self.connection.execute(f"SAVEPOINT {quote_identifier(self.name)}")
         self._active = True
         return self
 
     def release(self) -> None:
         """Commit the savepoint's writes into the enclosing transaction."""
         if self._active:
-            self.connection.execute(self.dialect.release_statement(self.name))
+            self.connection.execute(f"RELEASE SAVEPOINT {quote_identifier(self.name)}")
             self._active = False
 
     def rollback(self) -> None:
         """Undo every write since ``begin()`` and discard the savepoint."""
         if self._active:
-            self.connection.execute(self.dialect.rollback_statement(self.name))
-            self.connection.execute(self.dialect.release_statement(self.name))
+            name = quote_identifier(self.name)
+            self.connection.execute(f"ROLLBACK TO SAVEPOINT {name}")
+            self.connection.execute(f"RELEASE SAVEPOINT {name}")
             self._active = False
 
     def __enter__(self) -> "Savepoint":

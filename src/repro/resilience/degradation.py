@@ -11,7 +11,7 @@ shared multi-query executor   per-query sequential execution
 context-based adjustment      unadjusted signature-map weights
 mini-database drop            leak the temp tables (logged, non-fatal)
 sustained service pressure    approximate (spreading) search pinned on
-service reader connection     pooled read-write handle used read-only
+service reader connection     the primary, under the write lock
 ==========================  ==========================================
 
 Every step down is recorded as a label in
@@ -42,9 +42,9 @@ MINI_DROP_LEAK = "spreading.mini_drop:leaked"
 #: Sustained queue pressure -> the service pins the cheaper approximate
 #: (focal-based spreading) search for the batches it flushes.
 SERVICE_SHED = "service.pressure:approximate-search"
-#: A service reader connection failed -> a pooled handle (or, last, the
-#: writer's primary under the write lock) serves the read.
-SERVICE_READER_FALLBACK = "service.reader:pooled"
+#: No pooled service reader could serve a read -> the writer's primary,
+#: under the write lock, serves it.
+SERVICE_READER_FALLBACK = "service.reader:primary"
 
 
 def count_degradation(label: str) -> None:

@@ -42,7 +42,7 @@ are fixed literals, mirroring :mod:`repro.annotations.store`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import NOOP_TRACER, TracerLike
@@ -153,16 +153,18 @@ class PersistentValueIndex(InvertedValueIndex):
     then lazy-load or rebuild-and-persist) or :meth:`rebuild`.
     """
 
+    #: Capacity of the posting-page cache, in tokens.
+    PAGE_CACHE_SIZE: ClassVar[int] = 4096
+
     def __init__(
         self,
         connection: Connection,
-        page_cache_size: int = 4096,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__()
         self.connection = connection
         self._pages: LruPageCache[str, _TokenPage] = LruPageCache(
-            page_cache_size, metrics=metrics
+            self.PAGE_CACHE_SIZE, metrics=metrics
         )
         #: Mirror of the ``stamp_*`` stats rows, kept for O(1) stamp
         #: maintenance on the incremental write path.
@@ -177,7 +179,6 @@ class PersistentValueIndex(InvertedValueIndex):
         cls,
         connection: Connection,
         columns: Iterable[Tuple[str, str]],
-        page_cache_size: int = 4096,
         metrics: Optional[MetricsRegistry] = None,
         tracer: TracerLike = NOOP_TRACER,
     ) -> Tuple["PersistentValueIndex", str]:
@@ -190,7 +191,7 @@ class PersistentValueIndex(InvertedValueIndex):
         """
         requested = _dedup_columns(columns)
         ensure_schema(connection)
-        index = cls(connection, page_cache_size=page_cache_size, metrics=metrics)
+        index = cls(connection, metrics=metrics)
         with tracer.span("index.load") as span:
             loaded = index._load_if_valid(requested)
             span.set_attribute("valid", loaded)

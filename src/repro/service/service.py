@@ -11,8 +11,9 @@ prescribes for SQLite — **WAL + single writer + concurrent readers**:
   and per-request **deadlines** expire stale work before it costs a
   Stage 0 write);
 * **read endpoints** (search / stats / verification listings) run on the
-  caller's thread against read-only reader connections from the storage
-  backend, so they never block — nor are blocked by — the writer;
+  caller's thread against read-only reader connections leased from the
+  storage backend's pool, so they never block — nor are blocked by — the
+  writer;
 * under sustained pressure the writer **sheds load** down the graceful-
   degradation ladder: it pins the cheaper approximate (spreading) search
   for the batches it flushes, recorded as
@@ -50,7 +51,6 @@ from ..errors import (
     PipelineStageError,
     ServiceError,
     ServiceUnavailableError,
-    StorageError,
 )
 from ..observability import (
     TIME_BUCKETS,
@@ -217,8 +217,8 @@ class AnnotationService:
         self._queue = SubmissionQueue(self.config.queue_capacity)
         #: Serializes the writer's flush against last-resort reads on the
         #: primary connection.  The writer never waits on readers —
-        #: readers fall back to the primary only when both the reader
-        #: and the pooled path are unavailable.
+        #: readers fall back to the primary only when no pooled reader
+        #: can serve them.
         self._write_lock = threading.Lock()
         self._writer: Optional[threading.Thread] = None
         self._writer_alive = False
@@ -953,6 +953,12 @@ class AnnotationService:
         )
 
     def _read(self, fn: Callable[[Connection], T]) -> T:
+        """``fn(connection)`` on a leased reader (or, degraded, the primary).
+
+        ``fn`` must materialize its rows before returning: a cursor left
+        open past the lease keeps that reader's snapshot pinned, so its
+        next lease would miss commits made in between.
+        """
         handle = self._acquire_reader()
         try:
             return fn(handle.connection)
@@ -980,30 +986,24 @@ class AnnotationService:
     def _acquire_reader(self) -> _ReadHandle:
         """A connection safe for reads concurrent with the writer.
 
-        The ladder: a read-only reader connection; then, on a reader
-        outage, a pooled read-write handle used read-only; then, when the
-        pool is exhausted too, the primary connection serialized against
-        the writer by the write lock.  Every step down is recorded as
-        :data:`SERVICE_READER_FALLBACK`.
+        The ladder: a read-only reader leased from the backend's pool
+        (waiting for a free one when ``pool_size`` reads are running);
+        then, on a reader outage or an exhausted pool, the primary
+        connection serialized against the writer by the write lock.  The
+        step down is recorded as :data:`SERVICE_READER_FALLBACK`.
         """
         try:
             if self._faults is not None:
                 # Reader-outage chaos point.
                 self._faults.check("service.reader")
-            reader = self.backend.open_reader()
-            return _ReadHandle(reader, reader.close)
+            lease = self.backend.acquire()
+            return _ReadHandle(lease.connection, lease.release)
         except Exception as error:
             _logger.warning("service reader unavailable, degrading: %s", error)
         self._m_reader_fallbacks.inc()
         count_degradation(SERVICE_READER_FALLBACK)
-        try:
-            lease = self.backend.acquire(timeout=self.config.flush_interval)
-            return _ReadHandle(lease.connection, lease.release)
-        except (StorageError, Error):
-            # Pool exhausted (PoolExhaustedError) or unusable: use the
-            # primary, serialized against the writer's flushes.
-            self._write_lock.acquire()
-            return _ReadHandle(self.nebula.connection, self._write_lock.release)
+        self._write_lock.acquire()
+        return _ReadHandle(self.nebula.connection, self._write_lock.release)
 
 
 #: The historical spelling some tools prefer.

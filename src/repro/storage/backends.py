@@ -1,12 +1,10 @@
 """The storage engine behind the annotation pipeline.
 
 :class:`SqliteFileBackend` is the engine's whole window onto persistent
-storage: the **primary** read-write connection the pipeline runs on, a
-:class:`~repro.storage.pool.ConnectionPool` of auxiliary handles, a
-factory for read-only **reader** connections that run concurrently with
-the primary's write transaction (the annotation service's per-read
-connections), and the :class:`~repro.storage.dialect.Dialect` describing
-the SQL flavor.
+storage: the **primary** read-write connection the pipeline runs on,
+and a bounded :class:`~repro.storage.pool.ConnectionPool` of read-only
+**reader** connections that run concurrently with the primary's write
+transaction (the annotation service leases one per read).
 
 There is one engine: a SQLite database file in WAL mode, so readers
 never block the single writer.  A throwaway database (tests, ``repro
@@ -29,13 +27,7 @@ from typing import Optional, Type
 from ..errors import StorageError
 from . import compat
 from .compat import Connection
-from .dialect import SQLITE_DIALECT, Dialect
 from .pool import ConnectionPool, PooledConnection
-
-#: Journal modes :class:`SqliteFileBackend` accepts (SQLite's set).
-JOURNAL_MODES = frozenset(
-    {"wal", "delete", "truncate", "persist", "memory", "off"}
-)
 
 
 def _read_only_uri(path: str) -> str:
@@ -43,14 +35,14 @@ def _read_only_uri(path: str) -> str:
 
 
 class SqliteFileBackend:
-    """A file-backed SQLite database with read-only reader connections.
+    """A SQLite database file in WAL mode with pooled read-only readers.
 
-    The backend opens every connection in ``journal_mode`` (WAL by
-    default — readers proceed while a write transaction is open, the
-    property the concurrent annotation service builds on) and with a
-    ``busy_timeout`` so a briefly locked database waits instead of
-    failing immediately.  The primary connection and the pool are
-    created on first use; :meth:`close` releases both.
+    WAL lets readers proceed while a write transaction is open, the
+    property the concurrent annotation service builds on.  Every
+    connection waits up to ``busy_timeout`` seconds on a briefly locked
+    database instead of failing immediately.  The primary connection and
+    the reader pool are created on first use; :meth:`close` releases
+    both.
     """
 
     #: Engine identifier (reported by the service's health probe).
@@ -61,24 +53,15 @@ class SqliteFileBackend:
         path: str,
         pool_size: int = 4,
         pool_timeout: float = 5.0,
-        dialect: Dialect = SQLITE_DIALECT,
-        journal_mode: str = "wal",
         busy_timeout: float = 5.0,
     ) -> None:
         if not path:
             raise StorageError("sqlite-file backend requires a database path")
-        if journal_mode not in JOURNAL_MODES:
-            raise StorageError(
-                f"unknown journal mode {journal_mode!r} "
-                f"(choose from {sorted(JOURNAL_MODES)})"
-            )
         if busy_timeout < 0:
             raise StorageError("busy_timeout must be >= 0 seconds")
         self.path = str(path)
-        self.dialect = dialect
         self.pool_size = pool_size
         self.pool_timeout = pool_timeout
-        self.journal_mode = journal_mode
         self.busy_timeout = busy_timeout
         self._primary: Optional[Connection] = None
         self._pool: Optional[ConnectionPool] = None
@@ -117,16 +100,17 @@ class SqliteFileBackend:
 
     @property
     def pool(self) -> ConnectionPool:
+        """The bounded pool of :meth:`open_reader` connections."""
         with self._lock:
             self._ensure_open()
             if self._pool is None:
                 self._pool = ConnectionPool(
-                    self.connect, size=self.pool_size, timeout=self.pool_timeout
+                    self.open_reader, size=self.pool_size, timeout=self.pool_timeout
                 )
             return self._pool
 
     def acquire(self, timeout: Optional[float] = None) -> PooledConnection:
-        """Lease an auxiliary read-write connection from the pool."""
+        """Lease a read-only reader connection from the pool."""
         return self.pool.acquire(timeout=timeout)
 
     def _apply_busy_timeout(self, connection: Connection) -> None:
@@ -136,25 +120,26 @@ class SqliteFileBackend:
         connection.execute(f"PRAGMA busy_timeout = {millis:d}")  # nebula-lint: ignore[NBL001]
 
     def connect(self) -> Connection:
-        """Open a new read-write connection to the database."""
-        # check_same_thread=False: pooled handles may be leased by one
-        # thread and returned (or closed at shutdown) by another; each
-        # lease is still used by a single thread at a time.
+        """Open a new read-write connection to the database (in WAL mode)."""
+        # check_same_thread=False: the service's writer thread runs on
+        # the primary, which the thread that opened the engine created.
         connection = compat.connect(self.path, check_same_thread=False)
         self._apply_busy_timeout(connection)
         # The journal mode is a property of the database file; setting it
-        # on each read-write connection is idempotent.  The value is
-        # whitelisted in __init__, never caller-interpolated.
-        connection.execute(f"PRAGMA journal_mode = {self.journal_mode}")  # nebula-lint: ignore[NBL001]
+        # on each read-write connection is idempotent.
+        connection.execute("PRAGMA journal_mode = wal")
         return connection
 
     def open_reader(self) -> Connection:
         """A read-only connection safe for reads concurrent with the
-        primary.  The caller owns the handle and must close it."""
+        primary.  The caller owns the handle and must close it; the
+        pool behind :meth:`acquire` is made of these."""
         self._ensure_open()
-        # mode=ro connections cannot change the journal mode (and need
-        # not: it lives in the database file); the busy timeout still
-        # applies so readers ride out checkpoint locks.
+        # check_same_thread=False: a pooled reader is leased by one
+        # thread at a time, but not always by the same thread.  mode=ro
+        # connections cannot change the journal mode (and need not: it
+        # lives in the database file); the busy timeout still applies so
+        # readers ride out checkpoint locks.
         reader = compat.connect(
             _read_only_uri(self.path), uri=True, check_same_thread=False
         )
@@ -164,12 +149,10 @@ class SqliteFileBackend:
     def checkpoint(self) -> None:
         """Fold the write-ahead log back into the database file.
 
-        A no-op outside WAL mode.  Startup recovery calls this so a
-        crash's WAL remnants are truncated before the service goes
-        ready.
+        Startup recovery calls this so a crash's WAL remnants are
+        truncated before the service goes ready.
         """
-        if self.journal_mode == "wal":
-            self.primary.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        self.primary.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def close(self) -> None:
         """Release the pool and the primary connection (idempotent); a
@@ -213,14 +196,16 @@ def get_backend(
 ) -> SqliteFileBackend:
     """Open the storage engine ``name`` on the database file at ``path``.
 
-    ``"sqlite-file"`` is the only engine; any other name raises
-    :class:`~repro.errors.StorageError`.
+    ``"sqlite-file"`` is the only engine and ``"wal"`` its only journal
+    mode; anything else raises :class:`~repro.errors.StorageError`.
     """
     if name != SqliteFileBackend.name:
         raise StorageError(
             f"unknown storage backend {name!r} "
             f"(the only engine is {SqliteFileBackend.name!r})"
         )
-    return SqliteFileBackend(
-        path, pool_size=pool_size, journal_mode=journal_mode, busy_timeout=busy_timeout
-    )
+    if journal_mode != "wal":
+        raise StorageError(
+            f"unsupported journal mode {journal_mode!r} (the engine runs in 'wal')"
+        )
+    return SqliteFileBackend(path, pool_size=pool_size, busy_timeout=busy_timeout)

@@ -26,6 +26,7 @@ Guarantees:
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Callable, List, Optional, Type
@@ -43,7 +44,8 @@ class PoolStats:
     reused: int = 0
     #: Idle connections discarded after a failed health probe.
     recycled: int = 0
-    #: ``acquire`` calls that had to wait for a free slot.
+    #: ``acquire`` calls that found no free slot and had to wait (once
+    #: per call, however often the wait wakes).
     waited: int = 0
 
 
@@ -109,17 +111,24 @@ class ConnectionPool:
         stays leased past the deadline, and
         :class:`~repro.errors.StorageError` on a closed pool.
         """
-        deadline = self.timeout if timeout is None else timeout
+        timeout = self.timeout if timeout is None else timeout
+        deadline = time.monotonic() + timeout
         with self._condition:
             if self._state.closed:
                 raise StorageError("connection pool is closed")
-            while not self._state.idle and self._state.leased >= self.size:
+            if self._full():
                 self.stats.waited += 1
-                if not self._condition.wait(timeout=deadline):
+            # Re-check after every wakeup, against the one deadline: a
+            # release notifies one waiter, and another acquirer may take
+            # the freed slot first.
+            while self._full():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     raise PoolExhaustedError(
-                        f"no pooled connection available within {deadline}s "
+                        f"no pooled connection available within {timeout}s "
                         f"(size={self.size}, leased={self._state.leased})"
                     )
+                self._condition.wait(remaining)
                 if self._state.closed:
                     raise StorageError("connection pool is closed")
             # Claim the slot and a candidate atomically; the health probe
@@ -171,6 +180,10 @@ class ConnectionPool:
         self.close()
 
     # ------------------------------------------------------------------
+
+    def _full(self) -> bool:
+        """No idle connection and no free slot (call under the condition)."""
+        return not self._state.idle and self._state.leased >= self.size
 
     def _vet(self, candidate: Optional[Connection]) -> Connection:
         """Probe candidates (lock-free) until one is healthy, else create.

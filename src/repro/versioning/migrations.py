@@ -2,7 +2,7 @@
 
 Every schema change to the annotation store travels through one place:
 a :class:`Migration` (zero-padded revision id, human name, paired
-``upgrade`` / ``downgrade`` callables taking ``(connection, dialect)``)
+``upgrade`` / ``downgrade`` callables taking the connection)
 registered in :data:`MIGRATIONS`.  :class:`MigrationRunner` applies the
 chain in order and records each applied revision in
 ``_nebula_schema_revisions``, so ``repro migrate status`` can always
@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MigrationError
 from ..storage.compat import Connection
-from ..storage.dialect import SQLITE_DIALECT, Dialect
 from .schema import LEGACY_DDL, VERSIONING_DDL
 
 #: The revision every database implicitly starts from.
@@ -106,8 +105,8 @@ class Migration:
 
     revision: str
     name: str
-    upgrade: Callable[[Connection, Dialect], None]
-    downgrade: Callable[[Connection, Dialect], None]
+    upgrade: Callable[[Connection], None]
+    downgrade: Callable[[Connection], None]
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,11 @@ class Revision:
 # ----------------------------------------------------------------------
 
 
-def _upgrade_legacy_base(connection: Connection, dialect: Dialect) -> None:
+def _upgrade_legacy_base(connection: Connection) -> None:
     connection.executescript(LEGACY_DDL)
 
 
-def _downgrade_legacy_base(connection: Connection, dialect: Dialect) -> None:
+def _downgrade_legacy_base(connection: Connection) -> None:
     connection.executescript(
         "DROP INDEX IF EXISTS _nebula_attachments_by_target;\n"
         "DROP INDEX IF EXISTS _nebula_attachments_by_annotation;\n"
@@ -137,7 +136,7 @@ def _downgrade_legacy_base(connection: Connection, dialect: Dialect) -> None:
     )
 
 
-def _upgrade_versioning(connection: Connection, dialect: Dialect) -> None:
+def _upgrade_versioning(connection: Connection) -> None:
     connection.executescript(VERSIONING_DDL)
     # Backfill a pre-versioning head into the log, once: every existing
     # row becomes an 'insert' version under a single migrate commit.
@@ -168,15 +167,15 @@ DROP TABLE IF EXISTS _nebula_commits;
 """
 
 
-def _downgrade_versioning(connection: Connection, dialect: Dialect) -> None:
+def _downgrade_versioning(connection: Connection) -> None:
     connection.executescript(_VERSIONING_DROP)
 
 
-def _upgrade_persistent_index(connection: Connection, dialect: Dialect) -> None:
+def _upgrade_persistent_index(connection: Connection) -> None:
     connection.executescript(_INDEX_DDL)
 
 
-def _downgrade_persistent_index(connection: Connection, dialect: Dialect) -> None:
+def _downgrade_persistent_index(connection: Connection) -> None:
     connection.executescript(
         "DROP INDEX IF EXISTS _nebula_index_postings_token;\n"
         "DROP TABLE IF EXISTS _nebula_index_postings;\n"
@@ -208,16 +207,14 @@ MIGRATIONS: Tuple[Migration, ...] = (
 
 
 class MigrationRunner:
-    """Applies the migration chain and records it, per backend dialect."""
+    """Applies the migration chain and records it."""
 
     def __init__(
         self,
         connection: Connection,
-        dialect: Dialect = SQLITE_DIALECT,
         migrations: Optional[Sequence[Migration]] = None,
     ) -> None:
         self.connection = connection
-        self.dialect = dialect
         self.migrations = tuple(migrations if migrations is not None else MIGRATIONS)
         self._validate_chain()
         self.connection.executescript(REVISIONS_DDL)
@@ -284,7 +281,7 @@ class MigrationRunner:
             if target is not None and migration.revision > target:
                 break
             try:
-                migration.upgrade(self.connection, self.dialect)
+                migration.upgrade(self.connection)
             except Exception as error:
                 raise MigrationError(
                     f"upgrade to {migration.revision} ({migration.name}) "
@@ -315,7 +312,7 @@ class MigrationRunner:
                     "migration to downgrade with"
                 )
             try:
-                migration.downgrade(self.connection, self.dialect)
+                migration.downgrade(self.connection)
             except Exception as error:
                 raise MigrationError(
                     f"downgrade of {migration.revision} ({migration.name}) "
@@ -340,10 +337,8 @@ class MigrationRunner:
         )
 
 
-def ensure_schema(
-    connection: Connection, dialect: Dialect = SQLITE_DIALECT
-) -> MigrationRunner:
+def ensure_schema(connection: Connection) -> MigrationRunner:
     """Bring a database fully up to date; the store's init path."""
-    runner = MigrationRunner(connection, dialect=dialect)
+    runner = MigrationRunner(connection)
     runner.upgrade()
     return runner

@@ -1,6 +1,7 @@
 """Unit tests for the nebula-lint rules against fixture snippets."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -8,6 +9,8 @@ from repro.analysis import analyze_paths
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.cli import main as lint_main
 from repro.analysis.engine import AnalysisError
+from repro.config import NebulaConfig
+from repro.errors import ConfigurationError
 
 
 def lint(tmp_path, source, name="snippet.py", rules=None):
@@ -236,53 +239,27 @@ class TestSavepointPairing:
 
 
 # ----------------------------------------------------------------------
-# NBL003 / NBL004 — paper invariants
+# NBL004 — paper invariants
 # ----------------------------------------------------------------------
 
 
 class TestPaperInvariants:
-    def test_beta_ordering_violation_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "class NebulaConfig:\n"
-            "    beta1: float = 0.30\n"
-            "    beta2: float = 0.50\n"
-            "    beta3: float = 0.15\n",
-        )
-        assert rule_ids(findings) == ["NBL003"]
-        assert findings[0].line == 2
+    def test_config_invariants_rejected_at_runtime(self):
+        # The retired NBL003 plants: NebulaConfig.__post_init__ rejects
+        # each, so a bad default fails when it is first instantiated
+        # (repro.config builds NEBULA_06 and NEBULA_08 at import).
+        @dataclass(frozen=True)
+        class InvertedDefaults(NebulaConfig):
+            beta1: float = 0.30
+            beta2: float = 0.50
+            beta3: float = 0.15
 
-    def test_valid_defaults_clean(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "class NebulaConfig:\n"
-            "    beta1: float = 0.50\n"
-            "    beta2: float = 0.30\n"
-            "    beta3: float = 0.15\n"
-            "    epsilon: float = 0.05\n",
-        )
-        assert findings == []
-
-    def test_construction_site_override_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "class NebulaConfig:\n"
-            "    beta1: float = 0.50\n"
-            "    beta2: float = 0.30\n"
-            "    beta3: float = 0.15\n"
-            "def f():\n"
-            "    return NebulaConfig(beta2=0.9)\n",
-        )
-        assert rule_ids(findings) == ["NBL003"]
-        assert findings[0].line == 6
-
-    def test_epsilon_out_of_range_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "class NebulaConfig:\n"
-            "    epsilon: float = 1.5\n",
-        )
-        assert rule_ids(findings) == ["NBL003"]
+        with pytest.raises(ConfigurationError, match="beta1 > beta2"):
+            InvertedDefaults()
+        with pytest.raises(ConfigurationError, match="beta1 > beta2"):
+            NebulaConfig(beta2=0.9)
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            NebulaConfig(epsilon=1.5)
 
     def test_true_edge_weight_pinned(self, tmp_path):
         findings = lint(tmp_path, "TRUE_EDGE_WEIGHT = 0.9\n")

@@ -69,20 +69,18 @@ class TestPlantedViolations:
         assert findings[0]["rule_id"] == "NBL001"
         assert findings[0]["line"] == 2  # the execute call site
 
-    def test_planted_beta_inversion_fails(self, tmp_path):
-        planted = tmp_path / "badconfig.py"
+    def test_planted_edge_weight_fails(self, tmp_path):
+        planted = tmp_path / "badweights.py"
         planted.write_text(
-            "class NebulaConfig:\n"
-            "    beta1: float = 0.2\n"
-            "    beta2: float = 0.6\n"
-            "    beta3: float = 0.1\n"
+            "RANK = 1\n"
+            "TRUE_EDGE_WEIGHT = 0.9\n"
         )
         out = io.StringIO()
         assert lint_main([str(planted), "--json"], out=out) == 1
         findings = json.loads(out.getvalue())
-        assert [f["rule_id"] for f in findings] == ["NBL003"]
+        assert [f["rule_id"] for f in findings] == ["NBL004"]
         assert findings[0]["line"] == 2
-        assert "beta" in findings[0]["message"]
+        assert "TRUE_EDGE_WEIGHT" in findings[0]["message"]
 
     def test_planted_violation_in_copy_of_tree(self, tmp_path):
         # Planting a bug next to clean files still surfaces exactly that bug.
@@ -103,17 +101,17 @@ class TestPlantedViolations:
 
 
 class TestCliSurface:
-    def test_list_rules_covers_all_thirteen(self):
+    def test_list_rules_covers_all_twelve(self):
         out = io.StringIO()
         assert lint_main(["--list-rules"], out=out) == 0
         text = out.getvalue()
         for rule_id in (
-            "NBL001", "NBL002", "NBL003", "NBL004",
-            "NBL005", "NBL006", "NBL007", "NBL008",
-            "NBL009", "NBL010", "NBL011", "NBL012",
-            "NBL013",
+            "NBL001", "NBL002", "NBL004", "NBL005",
+            "NBL006", "NBL007", "NBL008", "NBL009",
+            "NBL010", "NBL011", "NBL012", "NBL013",
         ):
             assert rule_id in text
+        assert "NBL003" not in text  # retired: NebulaConfig enforces it
 
     def test_unknown_rule_exits_usage_error(self, tmp_path):
         target = tmp_path / "x.py"

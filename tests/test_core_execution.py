@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import NebulaConfig
+from repro.core import shared_execution
 from repro.core.acg import AnnotationsConnectivityGraph
 from repro.core.execution import identify_related_tuples
 from repro.core.focal import apply_focal_adjustment, focal_reward_factor
@@ -194,6 +195,33 @@ class TestSharedExecutor:
         results = SharedExecutor(engine).search_all(queries, scope=scope)
         assert results["a"].refs == []
         assert results["b"].refs == [TupleRef("Gene", 2)]
+
+    def test_in_list_split_at_variable_limit_keeps_results(self, engine, monkeypatch):
+        gids = ("JW0013", "JW0014", "JW0015", "JW0018",
+                "JW0019", "JW0012", "JW0027", "JW0099")
+        groups = [
+            [KeywordQuery(("gene", gid), label=gid) for gid in gids[:4]],
+            [KeywordQuery(("gene", gid), label=gid) for gid in gids[4:]]
+            + [KeywordQuery(("gene", "grpC"), label="name")],
+        ]
+
+        def run():
+            executor = SharedExecutor(engine)
+            results = executor.execute_groups(groups)
+            rows = [
+                {label: [(t.ref, t.confidence) for t in result.tuples]
+                 for label, result in group.items()}
+                for group in results
+            ]
+            return rows, executor.last_stats.executed_statements
+
+        whole, whole_statements = run()
+        monkeypatch.setattr(shared_execution, "MAX_VARIABLES", 3)
+        split, split_statements = run()
+        assert split == whole
+        assert sum(len(rows) for group in whole for rows in group.values()) == 8
+        # The eight-value GID probe ran as three IN statements, not one.
+        assert split_statements == whole_statements + 2
 
     def test_executor_plugs_into_identify(self, engine):
         executor = SharedExecutor(engine)

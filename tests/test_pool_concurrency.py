@@ -3,6 +3,7 @@ eviction, and stats accuracy (PR 6, satellite of the service work)."""
 
 import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -58,6 +59,50 @@ class TestExhaustion:
         assert acquired.wait(5.0)
         thread.join()
         assert pool.stats.waited >= 1
+        pool.close()
+
+    def test_timeout_is_one_deadline_under_churn(self, factory):
+        # Another thread releases and re-takes the only slot every 50 ms.
+        # Each release wakes the waiter, which finds the slot taken
+        # again: the wait must still end at its deadline, counted once.
+        pool = ConnectionPool(factory, size=1, timeout=5.0)
+        holding = threading.Event()
+        stop = threading.Event()
+
+        def churn():
+            lease = pool.acquire()
+            holding.set()
+            while not stop.is_set():
+                time.sleep(0.05)
+                lease.release()
+                lease = pool.acquire()
+            lease.release()
+
+        outcome = []
+
+        def waiter():
+            started = time.monotonic()
+            try:
+                pool.acquire(timeout=0.25).release()
+                outcome.append(("acquired", time.monotonic() - started))
+            except PoolExhaustedError:
+                outcome.append(("exhausted", time.monotonic() - started))
+
+        churner = threading.Thread(target=churn)
+        churner.start()
+        assert holding.wait(5.0)
+        blocked = threading.Thread(target=waiter)
+        blocked.start()
+        blocked.join(3.0)
+        waiter_hung = blocked.is_alive()
+        stop.set()
+        churner.join(5.0)
+        blocked.join(5.0)
+        assert not churner.is_alive() and not blocked.is_alive()
+        assert not waiter_hung, "acquire(timeout=0.25) outlived its deadline"
+        assert outcome[0][0] == "exhausted"
+        assert outcome[0][1] < 2.0
+        assert pool.stats.waited == 1
         pool.close()
 
 

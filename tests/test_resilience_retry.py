@@ -230,6 +230,24 @@ class TestSavepoint:
         count = connection.execute("SELECT COUNT(*) FROM Gene").fetchone()[0]
         assert count == 7
 
+    def test_emits_quoted_savepoint_statements(self):
+        connection = build_figure1_connection()
+        statements = []
+        connection.set_trace_callback(statements.append)
+        kept = Savepoint(connection, "a-b").begin()
+        kept.release()
+        undone = Savepoint(connection, "c").begin()
+        undone.rollback()
+        connection.set_trace_callback(None)
+        assert kept.name.startswith("sp_a_b_")
+        assert statements == [
+            f'SAVEPOINT "{kept.name}"',
+            f'RELEASE SAVEPOINT "{kept.name}"',
+            f'SAVEPOINT "{undone.name}"',
+            f'ROLLBACK TO SAVEPOINT "{undone.name}"',
+            f'RELEASE SAVEPOINT "{undone.name}"',
+        ]
+
     def test_nested_savepoints_roll_back_independently(self):
         connection = build_figure1_connection()
         outer = Savepoint(connection, "outer").begin()

@@ -1,6 +1,7 @@
 """The concurrent annotation service: admission control, deadlines,
 coalescing, load shedding, per-request isolation, and shutdown (PR 6)."""
 
+import sys
 import threading
 import time
 
@@ -24,8 +25,9 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.observability import MetricsRegistry, set_metrics
-from repro.storage.compat import OperationalError
 from repro.resilience import SERVICE_SHED
+from repro.storage import SqliteFileBackend
+from repro.storage.compat import OperationalError
 
 
 @pytest.fixture()
@@ -455,3 +457,113 @@ class TestWritesBesideReader:
         assert read_errors == []
         assert reads
         assert nebula.commit_log.verify_head() is True
+
+
+class TestPooledReaders:
+    """Service reads lease read-only readers from the backend's pool."""
+
+    def test_reused_reader_sees_later_commits(self, db, nebula, storage_backend):
+        service = make_service(nebula).start()
+        try:
+            before = service.annotation_count()
+            service.ingest(texts(db, 1)[0], timeout=10.0)
+            assert service.annotation_count() == before + 1
+        finally:
+            service.stop()
+        # One reader served both counts: the second lease reused it.
+        stats = storage_backend.pool.stats
+        assert stats.created == 1
+        assert stats.reused >= 1
+
+    def test_more_reader_threads_than_pool_slots(
+        self, db, nebula, storage_backend, metrics
+    ):
+        service = make_service(nebula).start()
+        stop = threading.Event()
+        served, read_errors = [], []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    service.annotations_for("Gene", 1)
+                    service.pending_verifications(limit=5)
+                    served.append(1)
+            except Exception as error:  # pragma: no cover - failure detail
+                read_errors.append(error)
+
+        threads = [
+            threading.Thread(target=reader)
+            for _ in range(storage_backend.pool_size + 2)
+        ]
+        before = service.annotation_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            reports = [
+                service.ingest(text, timeout=10.0)
+                for text in texts(db, 12, tag="beside readers")
+            ]
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert read_errors == []
+        assert len(served) >= len(threads)
+        assert len({report.annotation_id for report in reports}) == 12
+        assert nebula.manager.store.count_annotations() == before + 12
+        assert nebula.commit_log.verify_head() is True
+        assert metrics.counter("nebula_service_reader_fallbacks_total").value == 0
+        assert storage_backend.pool.stats.created <= storage_backend.pool_size
+
+    def test_reads_open_at_most_pool_size_readers(
+        self, nebula, storage_backend, monkeypatch
+    ):
+        opened = []
+        open_reader = storage_backend.open_reader
+
+        def counting_open_reader():
+            opened.append(1)
+            return open_reader()
+
+        monkeypatch.setattr(storage_backend, "open_reader", counting_open_reader)
+        service = make_service(nebula).start()
+
+        def reads():
+            for _ in range(10):
+                service.annotation_count()
+
+        threads = [threading.Thread(target=reads) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            service.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert storage_backend.pool.stats.acquired >= 80
+        assert 1 <= len(opened) <= storage_backend.pool_size
+
+    def test_exhausted_pool_falls_back_to_primary(self, metrics, tmp_path):
+        backend = SqliteFileBackend(
+            str(tmp_path / "one-reader.db"), pool_size=1, pool_timeout=0.05
+        )
+        try:
+            world = generate_bio_database(
+                BioDatabaseSpec(genes=12, proteins=6, publications=20, seed=2),
+                backend=backend,
+            )
+            nebula = Nebula(backend, world.meta, NebulaConfig(), aliases=world.aliases)
+            service = make_service(nebula)  # not started: reads only
+            expected = service.annotation_count()
+            with backend.acquire():  # the only reader is taken
+                assert service.annotation_count() == expected
+            fallbacks = metrics.counter("nebula_service_reader_fallbacks_total")
+            assert fallbacks.value == 1
+        finally:
+            backend.close()

@@ -1,11 +1,11 @@
-"""The storage layer: dialect, pool, the file engine, get_backend.
+"""The storage layer: pool, the file engine, get_backend.
 
 The pipeline-facing contract (every sqlite3 call site routed through a
 :class:`SqliteFileBackend`) is exercised indirectly by the whole suite,
 which builds every world on that engine.  This module tests the layer
-itself: dialect SQL construction, pool bounding/health/threading, engine
-semantics (read-only readers, WAL concurrency, temporary databases), and
-the by-name constructor.
+itself: pool bounding/health/threading, engine semantics (pooled
+read-only readers, WAL concurrency, temporary databases), and the
+by-name constructor.
 """
 
 from __future__ import annotations
@@ -19,57 +19,7 @@ import pytest
 from conftest import build_figure1_connection, build_figure1_meta
 from repro import Nebula, NebulaConfig
 from repro.errors import ConfigurationError, PoolExhaustedError, StorageError
-from repro.storage import (
-    SQLITE_DIALECT,
-    ConnectionPool,
-    Dialect,
-    SqliteFileBackend,
-    get_backend,
-)
-
-# ----------------------------------------------------------------------
-# Dialect
-# ----------------------------------------------------------------------
-
-
-class TestDialect:
-    def test_placeholders(self):
-        assert SQLITE_DIALECT.placeholders(3) == "?, ?, ?"
-        assert SQLITE_DIALECT.placeholders(1) == "?"
-        assert SQLITE_DIALECT.placeholders(0) == ""
-
-    def test_negative_placeholder_count_rejected(self):
-        with pytest.raises(ValueError):
-            SQLITE_DIALECT.placeholders(-1)
-
-    def test_chunked_respects_max_variables(self):
-        narrow = Dialect(max_variables=3)
-        chunks = list(narrow.chunked(list(range(8))))
-        assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7]]
-
-    def test_chunked_single_chunk_when_under_limit(self):
-        assert list(SQLITE_DIALECT.chunked(["a", "b"])) == [["a", "b"]]
-
-    def test_quote_identifier_escapes_quotes(self):
-        assert SQLITE_DIALECT.quote_identifier("Gene") == '"Gene"'
-
-    def test_quote_qualified(self):
-        assert SQLITE_DIALECT.quote_qualified("Gene", "GID") == '"Gene"."GID"'
-
-    def test_savepoint_statements_quote_the_name(self):
-        assert SQLITE_DIALECT.savepoint_statement("sp1") == 'SAVEPOINT "sp1"'
-        assert (
-            SQLITE_DIALECT.release_statement("sp1") == 'RELEASE SAVEPOINT "sp1"'
-        )
-        assert (
-            SQLITE_DIALECT.rollback_statement("sp1")
-            == 'ROLLBACK TO SAVEPOINT "sp1"'
-        )
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            SQLITE_DIALECT.placeholder = "%s"  # type: ignore[misc]
-
+from repro.storage import ConnectionPool, SqliteFileBackend, get_backend
 
 # ----------------------------------------------------------------------
 # Connection pool
@@ -183,14 +133,16 @@ class TestSqliteFileBackend:
             reader.close()
 
     def test_pooled_connection_shares_the_database(self, tmp_path):
+        # The pool leases read-only readers: they see the primary's
+        # commits and cannot write.
         with SqliteFileBackend(str(tmp_path / "data.db")) as backend:
             backend.primary.execute("CREATE TABLE t (x)")
+            backend.primary.execute("INSERT INTO t VALUES (3)")
             backend.primary.commit()
             with backend.acquire() as connection:
-                connection.execute("INSERT INTO t VALUES (3)")
-                connection.commit()
-            count = backend.primary.execute("SELECT COUNT(*) FROM t").fetchone()
-            assert count == (1,)
+                assert connection.execute("SELECT x FROM t").fetchall() == [(3,)]
+                with pytest.raises(sqlite3.OperationalError):
+                    connection.execute("INSERT INTO t VALUES (4)")
 
     def test_closed_backend_refuses_use(self, tmp_path):
         backend = SqliteFileBackend(str(tmp_path / "data.db"))
@@ -200,6 +152,8 @@ class TestSqliteFileBackend:
             backend.primary
         with pytest.raises(StorageError):
             backend.open_reader()
+        with pytest.raises(StorageError):
+            backend.acquire()
         backend.close()  # idempotent
 
     def test_empty_path_rejected(self):
@@ -227,16 +181,23 @@ class TestWalConcurrency:
             mode = backend.primary.execute("PRAGMA journal_mode").fetchone()[0]
             assert mode == "wal"
 
-    def test_journal_mode_knob(self, tmp_path):
-        with SqliteFileBackend(
-            str(tmp_path / "d.db"), journal_mode="delete"
-        ) as backend:
+    def test_database_made_in_another_mode_opens_in_wal(self, tmp_path):
+        path = str(tmp_path / "legacy.db")
+        legacy = sqlite3.connect(path)
+        legacy.execute("PRAGMA journal_mode = delete")
+        legacy.execute("CREATE TABLE t (x)")
+        legacy.commit()
+        legacy.close()
+        with SqliteFileBackend(path) as backend:
             mode = backend.primary.execute("PRAGMA journal_mode").fetchone()[0]
-            assert mode == "delete"
+            assert mode == "wal"
+            with backend.acquire() as reader:
+                assert reader.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
 
     def test_unknown_journal_mode_rejected(self, tmp_path):
-        with pytest.raises(StorageError, match="journal mode"):
-            SqliteFileBackend(str(tmp_path / "x.db"), journal_mode="bogus")
+        for mode in ("delete", "bogus"):
+            with pytest.raises(StorageError, match="journal mode"):
+                get_backend("sqlite-file", path=str(tmp_path / "x.db"), journal_mode=mode)
 
     def test_negative_busy_timeout_rejected(self, tmp_path):
         with pytest.raises(StorageError, match="busy_timeout"):
@@ -299,14 +260,6 @@ class TestWalConcurrency:
             backend.checkpoint()
             assert wal.stat().st_size == 0
 
-    def test_checkpoint_is_a_noop_outside_wal(self, tmp_path):
-        with SqliteFileBackend(
-            str(tmp_path / "nw.db"), journal_mode="delete"
-        ) as backend:
-            backend.primary.execute("CREATE TABLE t (x)")
-            backend.primary.commit()
-            backend.checkpoint()  # must not raise
-
 
 # ----------------------------------------------------------------------
 # get_backend: the by-name constructor
@@ -345,7 +298,7 @@ class TestConfigKnobs:
 
     def test_pool_size_validated(self):
         with pytest.raises(ConfigurationError):
-            NebulaConfig(pool_size=0)  # nebula-lint: ignore[NBL003]
+            NebulaConfig(pool_size=0)
 
     def test_journal_mode_and_busy_timeout_defaults(self):
         config = NebulaConfig()
@@ -353,21 +306,24 @@ class TestConfigKnobs:
         assert config.busy_timeout == 5.0
 
     def test_journal_mode_validated(self):
-        with pytest.raises(ConfigurationError):
-            NebulaConfig(journal_mode="bogus")  # nebula-lint: ignore[NBL003]
+        # WAL is a class constant, not a field: no mode can be passed.
+        for mode in ("wal", "bogus"):
+            with pytest.raises(TypeError):
+                NebulaConfig(journal_mode=mode)  # type: ignore[call-arg]
 
     def test_busy_timeout_validated(self):
         with pytest.raises(ConfigurationError):
-            NebulaConfig(busy_timeout=-0.1)  # nebula-lint: ignore[NBL003]
+            NebulaConfig(busy_timeout=-0.1)
 
     def test_registry_forwards_journal_knobs(self, tmp_path):
         with get_backend(
             "sqlite-file",
             path=str(tmp_path / "k.db"),
-            journal_mode="truncate",
+            journal_mode="wal",
             busy_timeout=1.0,
         ) as backend:
-            assert backend.journal_mode == "truncate"
+            mode = backend.primary.execute("PRAGMA journal_mode").fetchone()[0]
+            assert mode == "wal"
             assert backend.busy_timeout == 1.0
 
 
