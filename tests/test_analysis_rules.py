@@ -244,10 +244,11 @@ class TestSavepointPairing:
 
 
 class TestPaperInvariants:
-    def test_config_invariants_rejected_at_runtime(self):
-        # The retired NBL003 plants: NebulaConfig.__post_init__ rejects
-        # each, so a bad default fails when it is first instantiated
-        # (repro.config builds NEBULA_06 and NEBULA_08 at import).
+    # The β and ε invariants are no lint rule: NebulaConfig.__post_init__
+    # rejects each violation, so a bad default fails when it is first
+    # instantiated (repro.config builds NEBULA_06 and NEBULA_08 at import).
+
+    def test_beta_ordering_violation_flagged(self):
         @dataclass(frozen=True)
         class InvertedDefaults(NebulaConfig):
             beta1: float = 0.30
@@ -256,10 +257,20 @@ class TestPaperInvariants:
 
         with pytest.raises(ConfigurationError, match="beta1 > beta2"):
             InvertedDefaults()
+
+    def test_construction_site_override_flagged(self):
         with pytest.raises(ConfigurationError, match="beta1 > beta2"):
             NebulaConfig(beta2=0.9)
+
+    def test_epsilon_out_of_range_flagged(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
             NebulaConfig(epsilon=1.5)
+
+    def test_valid_defaults_clean(self):
+        # The control for the three plants above: in-range overrides pass.
+        assert NebulaConfig().beta1 > NebulaConfig().beta2
+        assert NebulaConfig(beta2=0.4).beta2 == 0.4
+        assert NebulaConfig(epsilon=1.0).epsilon == 1.0
 
     def test_true_edge_weight_pinned(self, tmp_path):
         findings = lint(tmp_path, "TRUE_EDGE_WEIGHT = 0.9\n")

@@ -1,11 +1,11 @@
-"""The storage layer: pool, the file engine, get_backend.
+"""The storage layer: SQLite limits, pool, the file engine, get_backend.
 
 The pipeline-facing contract (every sqlite3 call site routed through a
 :class:`SqliteFileBackend`) is exercised indirectly by the whole suite,
 which builds every world on that engine.  This module tests the layer
-itself: pool bounding/health/threading, engine semantics (pooled
-read-only readers, WAL concurrency, temporary databases), and the
-by-name constructor.
+itself: the IN-list variable limit, pool bounding/health/threading,
+engine semantics (pooled read-only readers, WAL concurrency, temporary
+databases), and the by-name constructor.
 """
 
 from __future__ import annotations
@@ -18,8 +18,57 @@ import pytest
 
 from conftest import build_figure1_connection, build_figure1_meta
 from repro import Nebula, NebulaConfig
+from repro.core import shared_execution
+from repro.core.shared_execution import SharedExecutor
 from repro.errors import ConfigurationError, PoolExhaustedError, StorageError
+from repro.search.engine import KeywordQuery, KeywordSearchEngine
 from repro.storage import ConnectionPool, SqliteFileBackend, get_backend
+
+# ----------------------------------------------------------------------
+# SQLite dialect limits
+# ----------------------------------------------------------------------
+
+#: The seven GIDs of the Figure 1 Gene table, in IN-list (casefolded) order.
+FIGURE1_GIDS = ("JW0012", "JW0013", "JW0014", "JW0015", "JW0018", "JW0019", "JW0027")
+
+
+def _in_list_params(gids, monkeypatch):
+    """Bound values of each IN statement SharedExecutor runs for GID probes."""
+    engine = KeywordSearchEngine(
+        build_figure1_connection(), searchable_columns=[("Gene", "GID")]
+    )
+    executed = []
+    run = engine.execute_rows
+
+    def spy(sql, params=()):
+        executed.append((sql, tuple(params)))
+        return run(sql, params)
+
+    monkeypatch.setattr(engine, "execute_rows", spy)
+    SharedExecutor(engine).search_all(
+        [KeywordQuery(("gene", gid), label=gid) for gid in reversed(gids)]
+    )
+    return [params for sql, params in executed if " IN (" in sql]
+
+
+class TestDialect:
+    """SQLite's bind-variable limit, kept as a constant where SQL is built.
+
+    :data:`repro.core.shared_execution.MAX_VARIABLES` splits each batched
+    IN list into statements of at most that many variables.
+    """
+
+    def test_chunked_respects_max_variables(self, monkeypatch):
+        monkeypatch.setattr(shared_execution, "MAX_VARIABLES", 3)
+        assert _in_list_params(FIGURE1_GIDS, monkeypatch) == [
+            FIGURE1_GIDS[0:3],
+            FIGURE1_GIDS[3:6],
+            FIGURE1_GIDS[6:],
+        ]
+
+    def test_chunked_single_chunk_when_under_limit(self, monkeypatch):
+        assert _in_list_params(FIGURE1_GIDS[:2], monkeypatch) == [FIGURE1_GIDS[:2]]
+
 
 # ----------------------------------------------------------------------
 # Connection pool
