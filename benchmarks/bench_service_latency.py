@@ -71,7 +71,6 @@ def test_service_latency_percentiles():
             queue_capacity=max(CLIENTS * 4, 16),
             max_batch=8,
             flush_interval=0.005,
-            latency_window=4096,
         ),
     ).start()
 

@@ -15,7 +15,7 @@ workflow.
 Run it as ``python -m repro.analysis [paths]`` or ``repro lint``.
 """
 
-from .astcache import AstCache, ParsedModule
+from .astcache import ParsedModule
 from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import (
     AnalysisError,
@@ -34,7 +34,6 @@ __all__ = [
     "ALL_RULE_IDS",
     "AnalysisError",
     "AnalysisResult",
-    "AstCache",
     "Finding",
     "ParsedModule",
     "ProjectGraph",

@@ -1,25 +1,17 @@
-"""A shared parse cache: every file is read and parsed exactly once.
+"""Parsed source files shared by every analysis layer.
 
-Before the interprocedural core landed, each rule re-walked its module
-and the engine owned the only parse.  Now the module graph, the call
-graph, the concurrency summaries, and every per-file rule pass all need
-the same trees — so parsing moved behind :class:`AstCache`, which hands
-out immutable :class:`ParsedModule` records keyed by path.
-
-The cache is thread-safe: the engine's worker pool (see
-``analyze_paths(..., jobs=N)``) may request modules concurrently while
-the graph builders hold references to the same records.  Records are
-never mutated after construction, so sharing them across threads is
-free; the lock only guards the dictionary itself.
+:func:`load_module` reads and parses one file into an immutable
+:class:`ParsedModule`.  The engine parses each file once; the module
+graph, the call graph, the concurrency summaries, and every per-file
+rule pass then read the same records.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 _IGNORE_RE = re.compile(
     r"#\s*nebula-lint:\s*ignore(?:\[(?P<rules>[A-Z0-9,\s]+)\])?"
@@ -63,7 +55,7 @@ class ParsedModule:
 
 
 def load_module(path: str) -> ParsedModule:
-    """Read and parse one file (no caching)."""
+    """Read and parse one file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
@@ -80,37 +72,3 @@ def load_module(path: str) -> ParsedModule:
         lines=tuple(source.splitlines()),
         ignores=parse_inline_ignores(source),
     )
-
-
-class AstCache:
-    """Thread-safe path -> :class:`ParsedModule` cache."""
-
-    def __init__(self) -> None:
-        self._modules: Dict[str, ParsedModule] = {}
-        self._lock = threading.Lock()
-
-    def load(self, path: str) -> ParsedModule:
-        """The parsed module for ``path``, parsing it on first request."""
-        with self._lock:
-            cached = self._modules.get(path)
-        if cached is not None:
-            return cached
-        module = load_module(path)
-        with self._lock:
-            # Two threads racing on a cold path both parse; the records
-            # are identical and immutable, so last-write-wins is fine.
-            self._modules[path] = module
-        return module
-
-    def modules(self) -> List[ParsedModule]:
-        """Every cached module, in insertion (discovery) order."""
-        with self._lock:
-            return list(self._modules.values())
-
-    def __contains__(self, path: str) -> bool:
-        with self._lock:
-            return path in self._modules
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._modules)

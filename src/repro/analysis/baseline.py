@@ -5,15 +5,9 @@ gate only fails on *new* violations.  The file maps each finding
 fingerprint to the number of occurrences accepted — duplicate
 identical lines in one file share a fingerprint, so counts matter.
 
-Version 2 baselines use the (rule, path, enclosing-def,
-normalized-snippet) fingerprint (see
-:attr:`repro.analysis.findings.Finding.fingerprint`).  Version 1 files
-— written before the enclosing-def component existed — are still
-accepted: :func:`apply_baseline` matches each finding's current
-fingerprint first and falls back to its
-:attr:`~repro.analysis.findings.Finding.legacy_fingerprint` for v1
-entries, so an old baseline keeps suppressing until it is rewritten.
-Re-running ``--write-baseline`` migrates the file to version 2.
+Baselines (``"version": 2``) key each entry by the (rule, path,
+enclosing-def, normalized-snippet) fingerprint (see
+:attr:`repro.analysis.findings.Finding.fingerprint`).
 
 Typical flow::
 
@@ -46,12 +40,7 @@ def write_baseline(path: str, findings: Sequence[Finding]) -> None:
 
 
 def load_baseline(path: str) -> Dict[str, int]:
-    """fingerprint -> accepted count, for v1 and v2 files alike.
-
-    The version marker is not needed at match time: v2 fingerprints are
-    tried first and v1 entries only ever match through the legacy
-    fallback, so mixing generations in one file is harmless.
-    """
+    """fingerprint -> accepted count."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "fingerprints" not in payload:
@@ -69,17 +58,13 @@ def apply_baseline(
 
     Each baselined fingerprint absorbs up to its accepted count; any
     excess occurrences — the same bad pattern introduced again — are
-    reported.  A finding is absorbed by its current (v2) fingerprint
-    when present, else by its legacy (v1) fingerprint, which is how
-    pre-migration baseline files keep working.
+    reported.
     """
     budget = Counter(baseline)
     fresh: List[Finding] = []
     for finding in findings:
         if budget[finding.fingerprint] > 0:
             budget[finding.fingerprint] -= 1
-        elif budget[finding.legacy_fingerprint] > 0:
-            budget[finding.legacy_fingerprint] -= 1
         else:
             fresh.append(finding)
     return fresh

@@ -7,10 +7,9 @@ unreadable baseline, unparseable source file, or the ``--max-seconds``
 runtime budget exceeded).
 
 Output formats (``--format``): ``human`` (one line per finding plus a
-summary), ``json`` (the historical ``--json`` array, byte-identical to
-the old flag), and ``sarif`` (a SARIF 2.1.0 log for code-scanning
-upload).  All three are deterministic for a given tree regardless of
-``--jobs``.
+summary), ``json`` (an array of findings), and ``sarif`` (a SARIF 2.1.0
+log for code-scanning upload).  All three are deterministic for a given
+tree.
 """
 
 from __future__ import annotations
@@ -49,13 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         choices=FORMATS,
-        default=None,
+        default="human",
         help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="alias for --format json (kept for compatibility)",
     )
     parser.add_argument(
         "--strict",
@@ -79,16 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
             "comma-separated rule ids to run (default: all of "
             + ", ".join(ALL_RULE_IDS)
             + ")"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help=(
-            "worker threads for the per-file rule pass "
-            "(default: CPU count, capped at 8; output is identical "
-            "for any value)"
         ),
     )
     parser.add_argument(
@@ -138,15 +122,6 @@ def main(
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    fmt = args.format or ("json" if args.json else "human")
-    if args.format and args.json and args.format != "json":
-        print(
-            "nebula-lint: error: --json conflicts with "
-            f"--format {args.format}",
-            file=sys.stderr,
-        )
-        return 2
-
     if args.list_rules:
         for rule_id in ALL_RULE_IDS:
             out.write(f"{rule_id}  {RULE_DOCS[rule_id]}\n")
@@ -158,7 +133,7 @@ def main(
 
     paths = list(args.paths) or _default_paths()
     try:
-        result = run_analysis(paths, rules=rules, jobs=args.jobs)
+        result = run_analysis(paths, rules=rules)
     except (AnalysisError, ValueError) as exc:
         print(f"nebula-lint: error: {exc}", file=sys.stderr)
         return 2
@@ -167,11 +142,10 @@ def main(
     if args.verbose:
         timings = result.timings
         print(
-            "nebula-lint: {files} file(s), jobs={jobs}: "
+            "nebula-lint: {files} file(s): "
             "parse {parse:.3f}s, project {project:.3f}s, "
             "rules {rules:.3f}s, total {total:.3f}s".format(
                 files=result.file_count,
-                jobs=result.jobs,
                 parse=timings["parse"],
                 project=timings["project"],
                 rules=timings["rules"],
@@ -208,8 +182,8 @@ def main(
         reported = apply_baseline(findings, baseline)
         baselined = len(findings) - len(reported)
 
-    _emit(reported, fmt, out)
-    if fmt == "human":
+    _emit(reported, args.format, out)
+    if args.format == "human":
         summary = f"nebula-lint: {len(reported)} finding(s)"
         if baselined:
             summary += f" ({baselined} baselined)"

@@ -2,22 +2,17 @@
 
 Walks a source tree (or explicit file list) and runs the full pipeline:
 
-1. **parse** — every file is read and parsed exactly once into the
-   shared :class:`~repro.analysis.astcache.AstCache`;
-2. **project pass** — cross-module facts are computed over the whole
-   cache: the module/class/call graph, per-function concurrency
+1. **parse** — every file is read and parsed once into an immutable
+   :class:`~repro.analysis.astcache.ParsedModule`;
+2. **project pass** — cross-module facts are computed over every
+   parsed module: the module/class/call graph, per-function concurrency
    summaries with the blocking and escape fixpoints (NBL009–NBL012),
    and the SQL taint fixpoints that upgrade NBL001 to interprocedural;
-3. **rule pass** — per-file rule checks run independently per module,
-   optionally across a thread pool (``jobs``), reading the immutable
-   project indexes;
+3. **rule pass** — per-file rule checks run module by module on the
+   calling thread, reading the project indexes (the passes are pure
+   Python, so a thread pool only adds GIL contention);
 4. **filter** — raw findings flow through inline ignores and get their
-   enclosing function attached (for the v2 fingerprint).
-
-Per-file passes are embarrassingly parallel once the project indexes
-exist: every shared structure is immutable after step 2, so the worker
-pool needs no locking and the output is byte-identical for any ``jobs``
-value (findings are sorted at the end).
+   enclosing function attached (for the fingerprint).
 
 Inline suppression::
 
@@ -33,10 +28,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from .astcache import AnalysisError, AstCache, ParsedModule, parse_inline_ignores
+from .astcache import AnalysisError, ParsedModule, load_module
 from .concurrency import (
     ConcurrencyIndex,
     check_blocking_under_lock,
@@ -89,11 +83,6 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                     yield os.path.join(root, name)
 
 
-def _inline_ignores(source: str) -> Dict[int, Optional[Set[str]]]:
-    """line -> suppressed rule ids (``None`` means all rules)."""
-    return parse_inline_ignores(source)
-
-
 def _is_suppressed(
     finding: Finding, ignores: Dict[int, Optional[Set[str]]]
 ) -> bool:
@@ -118,7 +107,6 @@ class ProjectState:
     """Every immutable cross-module index the per-file passes read."""
 
     def __init__(self, modules: Sequence[ParsedModule]) -> None:
-        self.cache_order: Tuple[ParsedModule, ...] = tuple(modules)
         self.contexts: Dict[str, ModuleContext] = {
             parsed.path: ModuleContext(parsed.path, parsed.tree, parsed.source)
             for parsed in modules
@@ -145,7 +133,7 @@ class ProjectState:
 def _file_findings(
     state: ProjectState, parsed: ParsedModule, enabled: Set[str]
 ) -> List[Finding]:
-    """Every enabled rule over one module (thread-safe: reads only)."""
+    """Every enabled rule over one module."""
     ctx = state.contexts[parsed.path]
     raw: List[Finding] = []
     if "NBL001" in enabled:
@@ -196,20 +184,12 @@ class AnalysisResult:
     findings: List[Finding]
     timings: Dict[str, float]
     file_count: int
-    jobs: int
 
 
 def run_analysis(
-    paths: Sequence[str],
-    rules: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
+    paths: Sequence[str], rules: Optional[Iterable[str]] = None
 ) -> AnalysisResult:
-    """The full pipeline with timings; see module docstring for phases.
-
-    ``jobs`` sizes the per-file rule-pass worker pool (default: one
-    worker per CPU, capped at 8; ``1`` keeps everything on the calling
-    thread).  The result is identical for every ``jobs`` value.
-    """
+    """The full pipeline with timings; see module docstring for phases."""
     enabled = set(rules) if rules is not None else set(ALL_RULE_IDS)
     unknown = enabled.difference(ALL_RULE_IDS)
     if unknown:
@@ -222,8 +202,7 @@ def run_analysis(
     timings: Dict[str, float] = {}
     started = time.perf_counter()
 
-    cache = AstCache()
-    modules = [cache.load(path) for path in iter_python_files(paths)]
+    modules = [load_module(path) for path in iter_python_files(paths)]
     timings["parse"] = time.perf_counter() - started
 
     mark = time.perf_counter()
@@ -231,35 +210,20 @@ def run_analysis(
     timings["project"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, 8)
-    jobs = max(1, jobs)
     findings: List[Finding] = []
-    if jobs == 1 or len(modules) <= 1:
-        for parsed in modules:
-            findings.extend(_file_findings(state, parsed, enabled))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(
-                lambda parsed: _file_findings(state, parsed, enabled), modules
-            ):
-                findings.extend(batch)
+    for parsed in modules:
+        findings.extend(_file_findings(state, parsed, enabled))
     timings["rules"] = time.perf_counter() - mark
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule_id))
     timings["total"] = time.perf_counter() - started
     return AnalysisResult(
-        findings=findings,
-        timings=timings,
-        file_count=len(modules),
-        jobs=jobs,
+        findings=findings, timings=timings, file_count=len(modules)
     )
 
 
 def analyze_paths(
-    paths: Sequence[str],
-    rules: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
+    paths: Sequence[str], rules: Optional[Iterable[str]] = None
 ) -> List[Finding]:
     """Run the enabled rules over every Python file under ``paths``.
 
@@ -268,4 +232,4 @@ def analyze_paths(
     files raise :class:`AnalysisError` — a lint run over a broken tree
     should fail loudly, not skip silently.
     """
-    return run_analysis(paths, rules=rules, jobs=jobs).findings
+    return run_analysis(paths, rules=rules).findings

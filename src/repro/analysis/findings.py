@@ -6,21 +6,16 @@ JSON (``--format json``), SARIF (``--format sarif``), and a one-line
 human format, and carry a stable *fingerprint* used by the baseline
 workflow.
 
-The fingerprint (v2) hashes the rule id, the file path, the enclosing
+The fingerprint hashes the rule id, the file path, the enclosing
 function's display name, and the *whitespace-normalized* offending
-snippet — not its line number.  Compared with the v1 scheme (rule,
-path, raw snippet), v2 survives two extra classes of benign churn that
-used to resurrect baselined findings:
+snippet — not its line number.  It survives two classes of benign
+churn:
 
 * re-indenting or re-wrapping the offending line (normalization
   collapses all runs of whitespace), and
 * the same snippet text appearing in two different functions (the
   enclosing-def component keeps their fingerprints distinct, so fixing
-  one occurrence no longer silently absorbs the other).
-
-:attr:`Finding.legacy_fingerprint` still computes the v1 hash so
-version-1 baseline files keep matching until they are rewritten (see
-:mod:`repro.analysis.baseline`).
+  one occurrence does not silently absorb the other).
 """
 
 from __future__ import annotations
@@ -55,18 +50,10 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-insensitive identity for baseline suppression (v2)."""
+        """Line-number-insensitive identity for baseline suppression."""
         digest = hashlib.sha256(
             f"{self.rule_id}\x00{self.path}\x00{self.function}"
             f"\x00{_normalize_snippet(self.snippet)}".encode()
-        )
-        return digest.hexdigest()[:16]
-
-    @property
-    def legacy_fingerprint(self) -> str:
-        """The v1 fingerprint, kept so old baseline files still match."""
-        digest = hashlib.sha256(
-            f"{self.rule_id}\x00{self.path}\x00{self.snippet}".encode()
         )
         return digest.hexdigest()[:16]
 

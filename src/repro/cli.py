@@ -87,10 +87,24 @@ _LATENCY_PREFIX = 'nebula_service_latency_seconds{'
 _LATENCY_PHASES = ("queue", "flush", "e2e")
 
 
-def _service_latency_rows(gauges: Mapping[str, float]) -> List[str]:
-    """Aligned ``phase  p50/p95/p99`` rows from latency-percentile gauges.
+def _latency_rows(table: Mapping[str, Mapping[str, float]]) -> List[str]:
+    """Aligned ``phase  p50/p95/p99`` rows from phase -> quantile ->
+    seconds (known phases first, in display order; extras sort after)."""
+    ordered = [p for p in _LATENCY_PHASES if p in table]
+    ordered += sorted(set(table) - set(_LATENCY_PHASES))
+    rows = []
+    for phase in ordered:
+        cells = "  ".join(
+            f"{q}={table[phase].get(q, 0.0) * 1e3:9.2f}ms"
+            for q in ("p50", "p95", "p99")
+        )
+        rows.append(f"{phase:<6} {cells}")
+    return rows
 
-    The gauges are keyed by the registry's encoded form, e.g.
+
+def _service_latency_rows(gauges: Mapping[str, float]) -> List[str]:
+    """:func:`_latency_rows` from latency-percentile gauges, keyed by the
+    registry's encoded form, e.g.
     ``nebula_service_latency_seconds{phase="queue",quantile="p50"}``.
     """
     table: Dict[str, Dict[str, float]] = {}
@@ -103,16 +117,7 @@ def _service_latency_rows(gauges: Mapping[str, float]) -> List[str]:
             labels[name.strip()] = raw.strip().strip('"')
         phase = labels.get("phase", "?")
         table.setdefault(phase, {})[labels.get("quantile", "?")] = value
-    ordered = [p for p in _LATENCY_PHASES if p in table]
-    ordered += sorted(set(table) - set(_LATENCY_PHASES))
-    rows = []
-    for phase in ordered:
-        cells = "  ".join(
-            f"{q}={table[phase].get(q, 0.0) * 1e3:9.2f}ms"
-            for q in ("p50", "p95", "p99")
-        )
-        rows.append(f"{phase:<6} {cells}")
-    return rows
+    return _latency_rows(table)
 
 
 def _open_engine(
@@ -129,12 +134,7 @@ def _open_engine(
         tracing=trace,
         trace_path=_trace_path(path) if trace else None,
     )
-    backend = get_backend(
-        config.storage_backend,
-        path=path,
-        pool_size=config.pool_size,
-        busy_timeout=config.busy_timeout,
-    )
+    backend = get_backend(config.storage_backend, path=path)
     meta = _build_meta(backend.primary)
     aliases = {
         "genes": ("Gene", None),
@@ -517,16 +517,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     if stats.e2e_seconds:
         print("latency percentiles (seconds):")
-        for phase, percentiles in (
-            ("queue", stats.queue_wait_seconds),
-            ("flush", stats.flush_seconds),
-            ("e2e", stats.e2e_seconds),
+        for row in _latency_rows(
+            {
+                "queue": stats.queue_wait_seconds,
+                "flush": stats.flush_seconds,
+                "e2e": stats.e2e_seconds,
+            }
         ):
-            cells = "  ".join(
-                f"{q}={percentiles.get(q, 0.0) * 1e3:9.2f}ms"
-                for q in ("p50", "p95", "p99")
-            )
-            print(f"  {phase:<6} {cells}")
+            print(f"  {row}")
     if lost or not clean:
         print(f"LOST {lost} request(s), clean={clean}", file=sys.stderr)
         return 1
@@ -846,34 +844,6 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         backend.close()
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Delegate to nebula-lint, reusing its flag set verbatim."""
-    from .analysis.cli import main as lint_main
-
-    argv: list = list(args.paths)
-    if args.json:
-        argv.append("--json")
-    if args.format:
-        argv.extend(["--format", args.format])
-    if args.strict:
-        argv.append("--strict")
-    if args.baseline:
-        argv.extend(["--baseline", args.baseline])
-    if args.write_baseline:
-        argv.extend(["--write-baseline", args.write_baseline])
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.jobs is not None:
-        argv.extend(["--jobs", str(args.jobs)])
-    if args.verbose:
-        argv.append("--verbose")
-    if args.max_seconds is not None:
-        argv.extend(["--max-seconds", str(args.max_seconds)])
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
 # ----------------------------------------------------------------------
 
 
@@ -1054,29 +1024,26 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=7)
     demo.set_defaults(func=cmd_demo)
 
-    lint = sub.add_parser(
+    # nebula-lint owns its flags: main() forwards every argument after
+    # ``lint`` to it unparsed (``repro lint --help`` lists them).
+    sub.add_parser(
         "lint",
+        add_help=False,
         help="run nebula-lint (project-specific static analysis) over a tree",
     )
-    lint.add_argument("paths", nargs="*", help="files/dirs (default: repro source)")
-    lint.add_argument("--json", action="store_true")
-    lint.add_argument("--format", choices=("human", "json", "sarif"))
-    lint.add_argument("--strict", action="store_true")
-    lint.add_argument("--baseline", metavar="FILE")
-    lint.add_argument("--write-baseline", metavar="FILE")
-    lint.add_argument("--rules", metavar="IDS")
-    lint.add_argument("--jobs", type=int, metavar="N")
-    lint.add_argument("--verbose", action="store_true")
-    lint.add_argument("--max-seconds", type=float, metavar="S")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.set_defaults(func=cmd_lint)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from .analysis.cli import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

@@ -70,42 +70,31 @@ class NebulaConfig:
     storage_backend: ClassVar[str] = "sqlite-file"
     #: Size of the storage backend's reader pool: at most this many
     #: read-only connections serve reads at once (the primary is not
-    #: pooled).
-    pool_size: int = 4
+    #: pooled).  The backend owns the pool; a constant, not a field.
+    pool_size: ClassVar[int] = 4
     #: SQLite journal mode of the engine: WAL lets readers run
     #: concurrently with an open write transaction, the design the
     #: concurrent annotation service depends on.  A constant, not a field.
     journal_mode: ClassVar[str] = "wal"
     #: Seconds a connection waits on a locked database before failing
     #: (``PRAGMA busy_timeout``); applied to every connection the
-    #: file backend opens, readers included.
-    busy_timeout: float = 5.0
+    #: file backend opens, readers included.  A constant, not a field.
+    busy_timeout: ClassVar[float] = 5.0
     #: LRU capacity of the keyword-analysis memo cache; 0 disables it.
     analysis_cache_size: int = 2048
     #: Enable the backward concept search special case (§5.2.3, lines 8-12).
     backward_concept_search: bool = True
     #: Enable the context-based weight adjustment (§5.2.2) — ablation knob.
     context_adjustment: bool = True
-    #: Maximum keywords forwarded to the search engine per query.
-    max_query_keywords: int = 3
     #: Seed for any internal randomized tie-breaking (sampling, etc.).
     seed: Optional[int] = field(default=7)
-    #: Retry attempts for transient storage errors ("database is locked").
-    retry_max_attempts: int = 3
-    #: Base backoff delay (seconds) of the storage retry policy.
-    retry_base_delay: float = 0.005
-    #: Backoff ceiling (seconds) of the storage retry policy.
-    retry_max_delay: float = 0.25
-    #: Capture failed ingestions in the ``_nebula_dead_letters`` table.
-    dead_letters: bool = True
-    #: Enable structured tracing of the pipeline (ring-buffer exporter,
-    #: plus a JSONL exporter when ``trace_path`` is set).  Off by default:
-    #: the no-op tracer keeps the hot path allocation-free.
+    #: Enable structured tracing of the pipeline (a ring buffer of the
+    #: last 64 traces, plus a JSONL exporter when ``trace_path`` is
+    #: set).  Off by default: the no-op tracer keeps the hot path
+    #: allocation-free.
     tracing: bool = False
     #: When tracing, also append each finished trace to this JSONL file.
     trace_path: Optional[str] = None
-    #: Capacity of the in-memory trace ring buffer (last-N traces).
-    trace_buffer_size: int = 64
     #: Test seam: raise scripted faults at the pipeline's named fault
     #: points (``store.add``, ``spreading.scope``, ``executor.run``,
     #: ``queue.triage``).  None in production.
@@ -128,16 +117,7 @@ class NebulaConfig:
         _require(0.0 < self.stability_mu < 1.0, "stability_mu must be in (0, 1)")
         _require(self.spreading_hops >= 1, "spreading_hops must be >= 1")
         _require(0.0 < self.target_recall <= 1.0, "target_recall must be in (0, 1]")
-        _require(self.max_query_keywords >= 2, "max_query_keywords must be >= 2")
-        _require(self.retry_max_attempts >= 1, "retry_max_attempts must be >= 1")
-        _require(
-            0.0 <= self.retry_base_delay <= self.retry_max_delay,
-            "retry delays must satisfy 0 <= retry_base_delay <= retry_max_delay",
-        )
-        _require(self.trace_buffer_size >= 1, "trace_buffer_size must be >= 1")
         _require(self.analysis_cache_size >= 0, "analysis_cache_size must be >= 0")
-        _require(self.pool_size >= 1, "pool_size must be >= 1")
-        _require(self.busy_timeout >= 0.0, "busy_timeout must be >= 0")
 
     def with_updates(self, **changes: object) -> "NebulaConfig":
         """Return a copy of this config with ``changes`` applied.

@@ -166,11 +166,7 @@ class Nebula:
         self.backend = _storage_backend(storage, backend)
         self.connection = self.backend.primary
         connection = self.connection
-        self.retry = RetryPolicy(
-            max_attempts=self.config.retry_max_attempts,
-            base_delay=self.config.retry_base_delay,
-            max_delay=self.config.retry_max_delay,
-        )
+        self.retry = RetryPolicy()
         self._faults = self.config.fault_injector
         #: Metrics registry shared with every sub-component (the process
         #: default unless injected — tests inject a fresh one).
@@ -181,7 +177,7 @@ class Nebula:
         if tracer is not None:
             self.tracer = tracer
         elif self.config.tracing:
-            self.trace_buffer = RingBufferExporter(self.config.trace_buffer_size)
+            self.trace_buffer = RingBufferExporter()
             exporters: List = [self.trace_buffer]
             if self.config.trace_path:
                 exporters.append(JsonlExporter(self.config.trace_path))
@@ -482,7 +478,7 @@ class Nebula:
         author: Optional[str] = None,
         use_spreading: Optional[bool] = None,
         radius: Optional[int] = None,
-        capture_dead_letter: Optional[bool] = None,
+        capture_dead_letter: bool = True,
         request_id: Optional[str] = None,
         replay_of: Optional[int] = None,
     ) -> DiscoveryReport:
@@ -537,7 +533,7 @@ class Nebula:
         batch: Sequence[RequestLike],
         use_spreading: Optional[bool] = None,
         radius: Optional[int] = None,
-        capture_dead_letter: Optional[bool] = None,
+        capture_dead_letter: bool = True,
         request_id: Optional[str] = None,
     ) -> List[DiscoveryReport]:
         """Ingest a batch of annotations with cross-annotation sharing.
@@ -604,7 +600,7 @@ class Nebula:
         requests: Sequence[AnnotationRequest],
         use_spreading: Optional[bool],
         radius: Optional[int],
-        capture_dead_letter: Optional[bool],
+        capture_dead_letter: bool,
         kind: str,
         author: Optional[str] = None,
         request_id: Optional[str] = None,
@@ -612,11 +608,6 @@ class Nebula:
     ) -> List[DiscoveryReport]:
         """Stages 0-3 for ``requests`` in one SAVEPOINT and one ``kind``
         commit; the body of both public ingestion calls."""
-        capture = (
-            self.config.dead_letters
-            if capture_dead_letter is None
-            else capture_dead_letter
-        )
         profile_snapshot = (dict(self.profile.buckets), self.profile.unreachable)
         # Pin the spreading decision for the whole call; per member it
         # still requires a non-empty focal, exactly as in analyze().
@@ -716,7 +707,7 @@ class Nebula:
                 if isinstance(error, PipelineStageError)
                 else PipelineStageError("pipeline", error)
             )
-            if capture:
+            if capture_dead_letter:
                 # One letter per request: the failed member is not
                 # isolatable after a whole-call rollback, and replaying
                 # every letter reconstructs the call exactly.
@@ -855,9 +846,7 @@ class Nebula:
         self.profile.buckets = dict(buckets)
         self.profile.unreachable = unreachable
 
-    def reprocess_dead_letters(
-        self, limit: Optional[int] = None
-    ) -> List[DiscoveryReport]:
+    def reprocess_dead_letters(self) -> List[DiscoveryReport]:
         """Drain the dead-letter queue by re-running the full pipeline.
 
         Each pending letter is replayed through :meth:`insert_annotation`
@@ -874,10 +863,7 @@ class Nebula:
         ``nebula_dead_letter_replayed_total``.
         """
         reports: List[DiscoveryReport] = []
-        letters = self.dead_letters.pending(include_claimed=False)
-        if limit is not None:
-            letters = letters[:limit]
-        for letter in letters:
+        for letter in self.dead_letters.pending(include_claimed=False):
             if not self.dead_letters.claim(letter.letter_id):
                 continue
             try:

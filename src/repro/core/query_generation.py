@@ -52,6 +52,10 @@ PHASE_MAPS = "map_generation"
 PHASE_CONTEXT = "context_adjustment"
 PHASE_QUERIES = "query_formation"
 
+#: Most keywords one query forwards to the search engine: a Type-1
+#: match's {k1, k2, k3}.
+MAX_QUERY_KEYWORDS = 3
+
 
 @dataclass(frozen=True)
 class CandidateQuery:
@@ -120,7 +124,7 @@ def generate_queries(
     context_done = time.perf_counter()
     with tracer.span("stage1.queries"):
         candidates = _form_candidates(context_map, config)
-        queries = _finalize(candidates, config)
+        queries = _finalize(candidates)
     finished = time.perf_counter()
     phase_times = {
         PHASE_MAPS: maps_done - started,
@@ -331,12 +335,10 @@ def _backward_query(
 # ----------------------------------------------------------------------
 
 
-def _finalize(
-    candidates: Sequence[CandidateQuery], config: NebulaConfig
-) -> List[KeywordQuery]:
+def _finalize(candidates: Sequence[CandidateQuery]) -> List[KeywordQuery]:
     best_by_keywords: Dict[frozenset, CandidateQuery] = {}
     for candidate in candidates:
-        if len(candidate.keywords) > config.max_query_keywords:
+        if len(candidate.keywords) > MAX_QUERY_KEYWORDS:
             continue
         key = frozenset(normalize_word(k) for k in candidate.keywords)
         current = best_by_keywords.get(key)

@@ -91,6 +91,10 @@ _PENDING_AS_OF = timetravel.PENDING_TASKS_AS_OF
 #: explicit ``deadline=None`` ("no deadline at all").
 _DEFAULT_DEADLINE = object()
 
+#: Seconds above which a flush or end-to-end latency emits a ``slow_op``
+#: event into the structured event log.
+SLOW_OP_SECONDS = 1.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -105,25 +109,10 @@ class ServiceConfig:
     flush_interval: float = 0.05
     #: Default per-request deadline in seconds (None = no deadline).
     default_deadline: Optional[float] = None
-    #: Seconds ``stop()`` waits for the writer to drain and exit.
-    shutdown_timeout: float = 5.0
     #: Queue-depth fraction at which load shedding engages.
     shed_watermark: float = 0.75
     #: Queue-depth fraction at which load shedding disengages.
     shed_recovery: float = 0.25
-    #: Run crash recovery (rollback, checkpoint, dead-letter replay)
-    #: before the service goes ready.
-    recover_on_start: bool = True
-    #: Most dead letters startup recovery replays (None = all).
-    replay_limit: Optional[int] = None
-    #: Seconds above which a flush or end-to-end latency emits a
-    #: ``slow_op`` event into the structured event log.
-    slow_op_threshold: float = 1.0
-    #: Sliding-window size of the streaming latency-quantile estimators
-    #: (per phase: queue wait, flush, end-to-end).
-    latency_window: int = 1024
-    #: In-memory ring capacity of the structured event log.
-    event_capacity: int = 512
     #: Also append every event as one JSON line to this file (None = no
     #: file; the in-memory ring is always on).
     event_log_path: Optional[str] = None
@@ -137,20 +126,12 @@ class ServiceConfig:
             raise ConfigurationError("flush_interval must be > 0")
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise ConfigurationError("default_deadline must be > 0 or None")
-        if self.shutdown_timeout <= 0:
-            raise ConfigurationError("shutdown_timeout must be > 0")
         if not 0.0 < self.shed_watermark <= 1.0:
             raise ConfigurationError("shed_watermark must be in (0, 1]")
         if not 0.0 <= self.shed_recovery < self.shed_watermark:
             raise ConfigurationError(
                 "shed_recovery must satisfy 0 <= shed_recovery < shed_watermark"
             )
-        if self.slow_op_threshold <= 0:
-            raise ConfigurationError("slow_op_threshold must be > 0")
-        if self.latency_window < 1:
-            raise ConfigurationError("latency_window must be >= 1")
-        if self.event_capacity < 1:
-            raise ConfigurationError("event_capacity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -264,22 +245,19 @@ class AnnotationService:
         self.metrics.gauge("nebula_service_queue_capacity").set(
             float(self.config.queue_capacity)
         )
-        #: Streaming p50/p95/p99 per latency phase, published as
+        #: Streaming p50/p95/p99 per latency phase over the last 1,024
+        #: observations, published as
         #: ``nebula_service_latency_seconds{phase,quantile}`` gauges when
         #: they are read: by every exposition render and once in stop().
         self.latency = PhaseQuantiles(
             self.metrics,
             "nebula_service_latency_seconds",
             ("queue", "flush", "e2e"),
-            window=self.config.latency_window,
         )
-        #: The structured, correlated event stream (bounded ring +
-        #: optional JSONL file) — the third telemetry plane next to the
-        #: metrics registry and the trace tree.
-        self.events = EventLog(
-            capacity=self.config.event_capacity,
-            path=self.config.event_log_path,
-        )
+        #: The structured, correlated event stream (a ring of the last
+        #: 512 events + optional JSONL file) — the third telemetry plane
+        #: next to the metrics registry and the trace tree.
+        self.events = EventLog(path=self.config.event_log_path)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -291,8 +269,7 @@ class AnnotationService:
             raise ServiceError("annotation service already started")
         if self._stopped:
             raise ServiceError("annotation service already stopped")
-        if self.config.recover_on_start:
-            self.recover()
+        self.recover()
         self._writer_alive = True
         self._writer = threading.Thread(
             target=self._writer_loop, name="nebula-service-writer", daemon=True
@@ -301,23 +278,21 @@ class AnnotationService:
         self._started = True
         return self
 
-    def stop(self, timeout: Optional[float] = None) -> bool:
+    def stop(self, timeout: float = 5.0) -> bool:
         """Graceful, bounded shutdown.
 
         Closes the queue to new submissions, lets the writer flush
         everything already admitted, and joins it for up to ``timeout``
-        (default ``config.shutdown_timeout``) seconds.  Whatever could
-        not be flushed in the budget fails with
+        seconds.  Whatever could not be flushed in the budget fails with
         :class:`ServiceUnavailableError` — a client is never left
         blocked on a ticket the service will not complete.  Returns True
         when the shutdown was clean (writer exited, nothing stranded).
         """
-        budget = self.config.shutdown_timeout if timeout is None else timeout
         self._stopped = True
         self._queue.close()
         writer = self._writer
         if writer is not None and writer.is_alive():
-            writer.join(budget)
+            writer.join(timeout)
         clean = writer is None or not writer.is_alive()
         stranded = self._queue.clear()
         for submission in stranded:
@@ -370,9 +345,7 @@ class AnnotationService:
             index_rebuilt = self.nebula.ensure_index_fresh()
             span.set_attribute("index_rebuilt", index_rebuilt)
             released = self.nebula.dead_letters.release_claims()
-            reports = self.nebula.reprocess_dead_letters(
-                limit=self.config.replay_limit
-            )
+            reports = self.nebula.reprocess_dead_letters()
             self.nebula.connection.commit()
             self._replayed += len(reports)
             span.set_attribute("released_claims", released)
@@ -661,13 +634,13 @@ class AnnotationService:
             shedding=shedding,
             poisoned=poisoned,
         )
-        if elapsed > self.config.slow_op_threshold:
+        if elapsed > SLOW_OP_SECONDS:
             self.events.emit(
                 "slow_op",
                 op="flush",
                 batch_id=batch_id,
                 seconds=round(elapsed, 6),
-                threshold=self.config.slow_op_threshold,
+                threshold=SLOW_OP_SECONDS,
             )
 
     def _flush_individually(
@@ -728,14 +701,14 @@ class AnnotationService:
             annotation_id=report.annotation_id,
             e2e_seconds=round(e2e, 6),
         )
-        if e2e > self.config.slow_op_threshold:
+        if e2e > SLOW_OP_SECONDS:
             self.events.emit(
                 "slow_op",
                 op="e2e",
                 request_id=submission.request_id,
                 batch_id=submission.batch_id,
                 seconds=round(e2e, 6),
-                threshold=self.config.slow_op_threshold,
+                threshold=SLOW_OP_SECONDS,
             )
         submission.succeed(report)
 

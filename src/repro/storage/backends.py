@@ -57,6 +57,8 @@ class SqliteFileBackend:
     ) -> None:
         if not path:
             raise StorageError("sqlite-file backend requires a database path")
+        if pool_size < 1:
+            raise StorageError("pool_size must be >= 1")
         if busy_timeout < 0:
             raise StorageError("busy_timeout must be >= 0 seconds")
         self.path = str(path)

@@ -90,14 +90,12 @@ class ConnectionPool:
         factory: Callable[[], Connection],
         size: int = 4,
         timeout: float = 5.0,
-        health_check: bool = True,
     ) -> None:
         if size < 1:
             raise StorageError("connection pool size must be >= 1")
         self._factory = factory
         self.size = size
         self.timeout = timeout
-        self.health_check = health_check
         self.stats = PoolStats()
         self._state = _PoolState()
         self._condition = threading.Condition()
@@ -193,7 +191,7 @@ class ConnectionPool:
         candidates are popped back under the condition.
         """
         while candidate is not None:
-            if not self.health_check or self._healthy(candidate):
+            if self._healthy(candidate):
                 with self._condition:
                     self.stats.reused += 1
                 return candidate

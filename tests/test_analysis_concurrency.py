@@ -9,8 +9,6 @@ per-statement resolver misses what the new layer catches.
 import os
 import textwrap
 
-import pytest
-
 from repro.analysis import analyze_paths
 from repro.analysis.astcache import load_module
 from repro.analysis.rules import ModuleContext, check_sql_safety
@@ -242,14 +240,3 @@ class TestFixturesAreNotTestPaths:
         assert not _is_test_path("tests/fixtures/concurrency/bad_lock_order.py")
         assert _is_test_path("tests/test_service.py")
         assert _is_test_path("tests/conftest.py")
-
-
-class TestJobsParity:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_findings_identical_across_worker_counts(self, jobs):
-        serial = analyze_paths([FIXTURES], jobs=1)
-        parallel = analyze_paths([FIXTURES], jobs=jobs)
-        assert [f.to_dict() for f in parallel] == [
-            f.to_dict() for f in serial
-        ]
-        assert len(serial) > 0

@@ -1,4 +1,4 @@
-"""Output formats, fingerprint v2 / baseline migration, and CLI knobs.
+"""Output formats, fingerprints and baselines, and CLI knobs.
 
 The SARIF document is validated against the bundled SARIF 2.1.0 schema
 subset via ``jsonschema`` when available (it is in CI); without it the
@@ -45,25 +45,6 @@ def bad_file(tmp_path):
 
 
 class TestFormats:
-    def test_json_flag_and_format_json_are_byte_identical(self, bad_file):
-        legacy, modern = io.StringIO(), io.StringIO()
-        assert lint_main([str(bad_file), "--json"], out=legacy) == 1
-        assert lint_main([str(bad_file), "--format", "json"], out=modern) == 1
-        assert legacy.getvalue() == modern.getvalue()
-
-    def test_human_format_stable_across_jobs(self, bad_file):
-        one, four = io.StringIO(), io.StringIO()
-        lint_main([str(bad_file), "--jobs", "1"], out=one)
-        lint_main([str(bad_file), "--jobs", "4"], out=four)
-        assert one.getvalue() == four.getvalue()
-
-    def test_json_conflicts_with_other_format(self, bad_file):
-        out = io.StringIO()
-        assert (
-            lint_main([str(bad_file), "--json", "--format", "sarif"], out=out)
-            == 2
-        )
-
     def test_sarif_format_emits_valid_log(self, bad_file):
         out = io.StringIO()
         assert lint_main([str(bad_file), "--format", "sarif"], out=out) == 1
@@ -171,7 +152,7 @@ class TestSarifDocument:
 
 
 # ----------------------------------------------------------------------
-# fingerprint v2 + baseline migration
+# fingerprint + baseline
 # ----------------------------------------------------------------------
 
 
@@ -180,7 +161,6 @@ class TestFingerprintV2:
         a = Finding("NBL001", "m.py", 3, "msg", snippet="x()", function="f")
         b = Finding("NBL001", "m.py", 9, "msg", snippet="x()", function="g")
         assert a.fingerprint != b.fingerprint
-        assert a.legacy_fingerprint == b.legacy_fingerprint
 
     def test_survives_whitespace_reformat(self):
         a = Finding("NBL001", "m.py", 3, "m", snippet="x = f( 1,  2 )")
@@ -206,17 +186,6 @@ class TestBaselineMigration:
         assert payload["version"] == BASELINE_VERSION == 2
         assert apply_baseline(findings, load_baseline(str(baseline_path))) == []
 
-    def test_v1_baseline_still_suppresses(self, tmp_path):
-        findings = self._findings(tmp_path)
-        legacy = {
-            "version": 1,
-            "tool": "nebula-lint",
-            "fingerprints": {f.legacy_fingerprint: 1 for f in findings},
-        }
-        baseline_path = tmp_path / "v1.json"
-        baseline_path.write_text(json.dumps(legacy))
-        assert apply_baseline(findings, load_baseline(str(baseline_path))) == []
-
     def test_rewrite_migrates_v1_to_v2(self, tmp_path):
         findings = self._findings(tmp_path)
         baseline_path = tmp_path / "baseline.json"
@@ -240,7 +209,7 @@ class TestBaselineMigration:
 
 
 # ----------------------------------------------------------------------
-# --verbose / --max-seconds / --jobs
+# --verbose / --max-seconds
 # ----------------------------------------------------------------------
 
 
@@ -259,7 +228,3 @@ class TestRuntimeKnobs:
     def test_max_seconds_generous_budget_passes(self, bad_file):
         out = io.StringIO()
         assert lint_main([str(bad_file), "--max-seconds", "300"], out=out) == 1
-
-    def test_explicit_jobs_accepted(self, bad_file):
-        out = io.StringIO()
-        assert lint_main([str(bad_file), "--jobs", "2"], out=out) == 1

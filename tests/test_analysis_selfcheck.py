@@ -63,7 +63,7 @@ class TestPlantedViolations:
             "    ).fetchall()\n"
         )
         out = io.StringIO()
-        assert lint_main([str(planted), "--json"], out=out) == 1
+        assert lint_main([str(planted), "--format", "json"], out=out) == 1
         findings = json.loads(out.getvalue())
         assert len(findings) == 1
         assert findings[0]["rule_id"] == "NBL001"
@@ -76,7 +76,7 @@ class TestPlantedViolations:
             "TRUE_EDGE_WEIGHT = 0.9\n"
         )
         out = io.StringIO()
-        assert lint_main([str(planted), "--json"], out=out) == 1
+        assert lint_main([str(planted), "--format", "json"], out=out) == 1
         findings = json.loads(out.getvalue())
         assert [f["rule_id"] for f in findings] == ["NBL004"]
         assert findings[0]["line"] == 2

@@ -159,10 +159,6 @@ class TestPublicTriggers:
     def test_configuration_error(self):
         with pytest.raises(errors.ConfigurationError):
             NebulaConfig(epsilon=-1.0)
-        with pytest.raises(errors.ConfigurationError):
-            NebulaConfig(retry_max_attempts=0)
-        with pytest.raises(errors.ConfigurationError):
-            NebulaConfig(retry_base_delay=1.0, retry_max_delay=0.1)
 
     def test_workload_error(self):
         annotation = WorkloadAnnotation(

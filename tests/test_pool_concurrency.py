@@ -122,18 +122,6 @@ class TestHealthProbe:
         assert pool.stats.created == 2  # original + replacement
         pool.close()
 
-    def test_probe_can_be_disabled(self, factory):
-        pool = ConnectionPool(factory, size=1, health_check=False)
-        lease = pool.acquire()
-        lease.connection.close()
-        lease.release()
-        poisoned = pool.acquire()
-        with pytest.raises(sqlite3.Error):
-            poisoned.connection.execute("SELECT 1")
-        poisoned.release()
-        assert pool.stats.recycled == 0
-        pool.close()
-
 
 class TestStatsUnderContention:
     def test_stats_accurate_with_many_threads(self, factory):

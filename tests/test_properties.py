@@ -18,7 +18,7 @@ from repro.config import NebulaConfig
 from repro.core.execution import identify_related_tuples
 from repro.core.focal import apply_focal_adjustment
 from repro.core.acg import AnnotationsConnectivityGraph
-from repro.core.query_generation import generate_queries
+from repro.core.query_generation import MAX_QUERY_KEYWORDS, generate_queries
 from repro.core.shared_execution import SharedExecutor
 from repro.meta.lexicon import DEFAULT_LEXICON
 from repro.search.engine import KeywordQuery, KeywordSearchEngine
@@ -131,7 +131,7 @@ def test_query_generation_invariants(fragments, epsilon):
     seen = [frozenset(normalize_word(k) for k in q.keywords) for q in first.queries]
     assert len(seen) == len(set(seen))
     # Keyword count bounded.
-    assert all(len(q.keywords) <= config.max_query_keywords for q in first.queries)
+    assert all(len(q.keywords) <= MAX_QUERY_KEYWORDS for q in first.queries)
 
 
 @settings(max_examples=60, deadline=None)

@@ -226,13 +226,11 @@ class TestDeadLetters:
         fresh = generate_bio_database(
             BioDatabaseSpec(genes=20, proteins=12, publications=60, seed=3)
         )
-        config = NebulaConfig(
-            epsilon=0.6, fault_injector=faults, dead_letters=False
-        )
+        config = NebulaConfig(epsilon=0.6, fault_injector=faults)
         nebula = Nebula(fresh.backend, fresh.meta, config, aliases=fresh.aliases)
         faults.arm("store.add")
         with pytest.raises(PipelineStageError) as exc_info:
-            sample_insert(fresh, nebula)
+            sample_insert(fresh, nebula, capture_dead_letter=False)
         assert exc_info.value.dead_letter_id is None
         assert nebula.dead_letters.count() == 0
 

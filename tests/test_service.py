@@ -79,7 +79,7 @@ class TestConfig:
             {"max_batch": 0},
             {"flush_interval": 0.0},
             {"default_deadline": -1.0},
-            {"shutdown_timeout": 0.0},
+            {"shed_recovery": -0.1},
             {"shed_watermark": 0.0},
             {"shed_watermark": 1.5},
             {"shed_recovery": 0.9, "shed_watermark": 0.5},

@@ -161,7 +161,7 @@ class TestMidBatchCrash:
         # --- restart on the same database ---------------------------------
         revived = AnnotationService(
             nebula, ServiceConfig(max_batch=8, flush_interval=0.01)
-        ).start()  # recover_on_start rolls the unacked batch back
+        ).start()  # start() recovers: the unacked batch rolls back
         # The acknowledged annotation survived the crash...
         assert revived.find_annotations("committed before crash")
         # ...the unacked batch did not (no partial, no ghost rows)...

@@ -41,8 +41,10 @@ from repro.observability import (
     ExpositionError,
     MetricsRegistry,
     PhaseQuantiles,
+    RingBufferExporter,
     StreamingQuantiles,
     TelemetryServer,
+    Tracer,
     iter_spans,
     parse_exposition,
     read_jsonl_events,
@@ -77,18 +79,21 @@ def faults():
 
 
 @pytest.fixture()
-def nebula(db, storage_backend, faults, metrics):
+def trace_buffer():
+    """A ring with room for every trace one test here exports (the
+    engine's own, under ``tracing=True``, keeps the last 64)."""
+    return RingBufferExporter(256)
+
+
+@pytest.fixture()
+def nebula(db, storage_backend, faults, metrics, trace_buffer):
     """A traced engine: the suite asserts on exported span trees."""
     return Nebula(
         storage_backend,
         db.meta,
-        NebulaConfig(
-            epsilon=0.6,
-            tracing=True,
-            trace_buffer_size=256,
-            fault_injector=faults,
-        ),
+        NebulaConfig(epsilon=0.6, fault_injector=faults),
         aliases=db.aliases,
+        tracer=Tracer([trace_buffer]),
     )
 
 
@@ -106,10 +111,10 @@ def texts(db, n, tag="note"):
     ]
 
 
-def flush_spans(nebula):
+def flush_spans(trace_buffer):
     """Every service flush span (batched or isolated) in the ring buffer."""
     spans = []
-    for record in nebula.trace_buffer.last(256):
+    for record in trace_buffer.last(256):
         for span in iter_spans(record):
             if span["name"] in ("service.batch_flush", "service.request"):
                 spans.append(span)
@@ -154,7 +159,7 @@ class TestRequestIds:
 
 
 class TestTracePropagation:
-    def test_concurrent_clients_trace_end_to_end(self, db, nebula):
+    def test_concurrent_clients_trace_end_to_end(self, db, nebula, trace_buffer):
         """≥4 client threads: every report carries a unique request_id
         whose span links resolve to exactly one writer flush."""
         service = make_service(nebula).start()
@@ -185,7 +190,7 @@ class TestTracePropagation:
         assert all(rid and rid.startswith("req-") for rid in ids)
 
         resolved = {}
-        for span in flush_spans(nebula):
+        for span in flush_spans(trace_buffer):
             for link in span.get("links", []):
                 rid = link.get("request_id")
                 if rid is not None:
@@ -257,7 +262,9 @@ class TestTracePropagation:
 
 
 class TestChaosCorrelation:
-    def test_dead_letter_rows_carry_the_request_id(self, db, nebula, faults):
+    def test_dead_letter_rows_carry_the_request_id(
+        self, db, nebula, faults, trace_buffer
+    ):
         service = make_service(nebula)
         tickets = [service.submit(text) for text in texts(db, 3)]
         # Firing 1 poisons the batch; firing 2 hits the first member on
@@ -295,7 +302,7 @@ class TestChaosCorrelation:
         # the poisoned batch.
         isolated = [
             span
-            for span in flush_spans(nebula)
+            for span in flush_spans(trace_buffer)
             if span["name"] == "service.request"
             and span["attributes"].get("request_id") == ticket.request_id
         ]

@@ -209,6 +209,28 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["annotate", "--db", db_path, "--text", "x", "--attach", "Gene"])
 
+    def test_lint_forwards_list_rules(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12
+        assert all(line.startswith("NBL") for line in lines)
+
+    def test_lint_forwards_paths_and_flags(self, tmp_path, capsys):
+        planted = tmp_path / "planted.py"
+        planted.write_text(
+            "def fetch(conn, user):\n"
+            "    return conn.execute(f\"SELECT * FROM t WHERE n = '{user}'\")\n"
+        )
+        assert main(["lint", str(planted), "--format", "json"]) == 1
+        (finding,) = json.loads(capsys.readouterr().out)
+        assert finding["rule_id"] == "NBL001"
+        assert finding["line"] == 2
+
+    def test_unknown_arguments_still_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--db", "x.db", "--bogus"])
+        assert excinfo.value.code == 2
+
 
 class TestVersioningCli:
     """``repro history`` / ``repro migrate`` / ``annotate --as-of``."""

@@ -10,6 +10,7 @@ databases), and the by-name constructor.
 
 from __future__ import annotations
 
+import inspect
 import os
 import sqlite3
 import threading
@@ -20,7 +21,7 @@ from conftest import build_figure1_connection, build_figure1_meta
 from repro import Nebula, NebulaConfig
 from repro.core import shared_execution
 from repro.core.shared_execution import SharedExecutor
-from repro.errors import ConfigurationError, PoolExhaustedError, StorageError
+from repro.errors import PoolExhaustedError, StorageError
 from repro.search.engine import KeywordQuery, KeywordSearchEngine
 from repro.storage import ConnectionPool, SqliteFileBackend, get_backend
 
@@ -344,10 +345,20 @@ class TestConfigKnobs:
         config = NebulaConfig()
         assert config.storage_backend == "sqlite-file"
         assert config.pool_size == 4
+        # The config's constants name the backend's own defaults (the CLI
+        # opens the backend with those; perfbench passes these copies).
+        defaults = inspect.signature(SqliteFileBackend).parameters
+        assert config.pool_size == defaults["pool_size"].default
+        assert config.busy_timeout == defaults["busy_timeout"].default
 
-    def test_pool_size_validated(self):
-        with pytest.raises(ConfigurationError):
-            NebulaConfig(pool_size=0)
+    def test_pool_size_validated(self, tmp_path):
+        # The backend owns the pool: a pool with no slot is refused where
+        # it is built, not at the first read's acquire().
+        for size in (0, -1):
+            with pytest.raises(StorageError, match="pool_size"):
+                get_backend("sqlite-file", path=str(tmp_path / "p.db"), pool_size=size)
+        with pytest.raises(TypeError):
+            NebulaConfig(pool_size=2)  # type: ignore[call-arg]
 
     def test_journal_mode_and_busy_timeout_defaults(self):
         config = NebulaConfig()
@@ -360,9 +371,11 @@ class TestConfigKnobs:
             with pytest.raises(TypeError):
                 NebulaConfig(journal_mode=mode)  # type: ignore[call-arg]
 
-    def test_busy_timeout_validated(self):
-        with pytest.raises(ConfigurationError):
-            NebulaConfig(busy_timeout=-0.1)
+    def test_busy_timeout_validated(self, tmp_path):
+        with pytest.raises(StorageError, match="busy_timeout"):
+            get_backend("sqlite-file", path=str(tmp_path / "t.db"), busy_timeout=-0.1)
+        with pytest.raises(TypeError):
+            NebulaConfig(busy_timeout=1.0)  # type: ignore[call-arg]
 
     def test_registry_forwards_journal_knobs(self, tmp_path):
         with get_backend(

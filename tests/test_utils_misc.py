@@ -49,7 +49,7 @@ class TestNebulaConfig:
             {"stability_mu": 1.0},
             {"spreading_hops": 0},
             {"target_recall": 0.0},
-            {"max_query_keywords": 1},
+            {"analysis_cache_size": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
