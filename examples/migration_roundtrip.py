@@ -3,11 +3,13 @@
 Builds a seed-era (pre-versioning) annotation database, runs the
 :mod:`repro.versioning.migrations` chain forward, and asserts parity
 with a freshly initialized versioned database holding the same logical
-content — identical schema objects, identical state fingerprints, and a
-head the commit log verifies against its own history.  Then reverts the
-chain and asserts the legacy layout comes back intact (versioning
-objects gone, the materialized latest state preserved), and finally
-re-upgrades to prove the round trip is lossless.
+content — identical schema objects (both at the newest revision with the
+four operational tables), identical state fingerprints, and a head the
+commit log verifies against its own history.  Then writes a row to each
+operational table, reverts the chain and asserts the legacy layout comes
+back intact (versioning objects gone, the materialized latest state and
+the operational rows preserved), and finally re-upgrades to prove the
+round trip is lossless.
 
 Both databases are temporary files, deleted on exit.  Exits non-zero on
 any violated invariant.
@@ -43,6 +45,33 @@ ATTACHMENTS = [
     (4, 3, "Protein", 1, 3, None, 0.6, "predicted"),
 ]
 
+#: One row per operational table (revision 0004), kept on downgrade.
+OPERATIONAL_ROWS = [
+    (
+        "INSERT INTO _nebula_dead_letters (content, focal_json, stage, error) "
+        "VALUES (?, ?, ?, ?)",
+        ("unreplayed note", '[["Gene", 1]]', "queue.triage", "boom"),
+    ),
+    (
+        "INSERT INTO _nebula_verification_tasks (annotation_id, target_table, "
+        "target_rowid, confidence, evidence, status) VALUES (?, ?, ?, ?, ?, ?)",
+        (1, "Gene", 4, 0.8, "q@0", "pending"),
+    ),
+    ("INSERT INTO _nebula_hop_profile (hops, count) VALUES (?, ?)", (2, 5)),
+    (
+        "INSERT INTO _nebula_annotation_rules "
+        "(annotation_id, target_table, predicate) VALUES (?, ?, ?)",
+        (3, "Protein", "PType = 'kinase'"),
+    ),
+]
+
+OPERATIONAL_TABLES = (
+    "_nebula_dead_letters",
+    "_nebula_verification_tasks",
+    "_nebula_hop_profile",
+    "_nebula_annotation_rules",
+)
+
 
 def _seed_rows(connection):
     connection.executemany(
@@ -63,6 +92,13 @@ def _schema_objects(connection):
             "AND name NOT LIKE 'sqlite_%'"
         ).fetchall()
         if str(r[1]).startswith("_nebula")
+    }
+
+
+def _operational_rows(connection):
+    return {
+        table: connection.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+        for table in OPERATIONAL_TABLES
     }
 
 
@@ -89,6 +125,12 @@ def main() -> int:
         expected = [m.revision for m in MIGRATIONS[1:]]
         if applied != expected:
             return _fail(f"applied {applied}, expected {expected}")
+        newest = MIGRATIONS[-1].revision
+        if runner.current_revision() != newest:
+            return _fail(f"upgraded legacy database at {runner.current_revision()}")
+        missing = set(OPERATIONAL_TABLES) - {n for _, n in _schema_objects(legacy)}
+        if missing:
+            return _fail(f"upgraded legacy database lacks {sorted(missing)}")
         log = CommitLog(legacy)
         if not log.verify_head():
             return _fail("head/log parity does not hold after upgrade")
@@ -98,7 +140,8 @@ def main() -> int:
 
         # --- parity with a fresh versioned init ---------------------
         fresh = fresh_backend.primary
-        ensure_schema(fresh)
+        if ensure_schema(fresh).current_revision() != newest:
+            return _fail("fresh init did not reach the newest revision")
         _seed_rows(fresh)
         fresh_log = CommitLog(fresh)
         with fresh_log.commit_scope("migrate", note="smoke backfill"):
@@ -113,6 +156,12 @@ def main() -> int:
             return _fail(f"as_of backfill sees {pinned} annotations")
 
         # --- downgrade ----------------------------------------------
+        for sql, params in OPERATIONAL_ROWS:
+            legacy.execute(sql, params)
+        legacy.commit()
+        operational = _operational_rows(legacy)
+        if any(len(rows) != 1 for rows in operational.values()):
+            return _fail(f"operational rows not written: {operational}")
         upgraded_head = timetravel.head_fingerprint(legacy)
         reverted = runner.downgrade()
         legacy.commit()
@@ -130,12 +179,18 @@ def main() -> int:
             return _fail(f"versioning objects survived the downgrade: {leaked}")
         if timetravel.head_fingerprint(legacy) != upgraded_head:
             return _fail("latest state lost by the downgrade")
+        if _operational_rows(legacy) != operational:
+            return _fail("operational rows lost by the downgrade")
 
         # --- and back up: the round trip is lossless ----------------
         runner.upgrade()
         legacy.commit()
         if timetravel.head_fingerprint(legacy) != upgraded_head:
             return _fail("re-upgrade changed the latest state")
+        if _operational_rows(legacy) != operational:
+            return _fail("re-upgrade changed the operational rows")
+        if runner.current_revision() != newest:
+            return _fail(f"re-upgrade stopped at {runner.current_revision()}")
         if not CommitLog(legacy).verify_head():
             return _fail("head/log parity does not hold after re-upgrade")
 

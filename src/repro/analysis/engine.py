@@ -45,7 +45,6 @@ from .rules import (
     ALL_RULE_IDS,
     ModuleContext,
     check_driver_imports,
-    check_edge_weights,
     check_metric_naming,
     check_resource_hygiene,
     check_savepoint_pairing,
@@ -143,8 +142,6 @@ def _file_findings(
         raw.extend(state.sql_flow.call_site_findings(ctx.path, ctx.snippet))
     if "NBL002" in enabled:
         raw.extend(check_savepoint_pairing(ctx))
-    if "NBL004" in enabled:
-        raw.extend(check_edge_weights(ctx))
     if "NBL005" in enabled:
         raw.extend(check_span_registry(ctx))
     if "NBL006" in enabled:

@@ -1,7 +1,7 @@
 """The nebula-lint rule set.
 
-Twelve AST-based rules over the repo's own source, each encoding an
-invariant the runtime layers depend on.  NBL001, NBL002, NBL004–NBL008
+Eleven AST-based rules over the repo's own source, each encoding an
+invariant the runtime layers depend on.  NBL001, NBL002, NBL005–NBL008
 and NBL013 are intra-module and live here; NBL009–NBL012 reason over
 the interprocedural core
 (:mod:`repro.analysis.graphs` / :mod:`repro.analysis.summaries`) and
@@ -19,10 +19,8 @@ NBL002     Transaction discipline: every executed ``SAVEPOINT`` must
            helper (``repro/resilience/boundaries.py``).
 NBL003     Retired: ``NebulaConfig.__post_init__`` rejects the paper
            parameter violations it checked.
-NBL004     Paper invariants (edges): ``TRUE_EDGE_WEIGHT`` must be
-           exactly 1.0; literal confidences attached with
-           ``kind=PREDICTED`` (or via ``attach_predicted``) must lie
-           strictly inside (0, 1); True-edge literals must be 1.0.
+NBL004     Retired: ``AnnotationStore.attach`` forces true edges to
+           1.0 and rejects a predicted confidence outside [0, 1).
 NBL005     Trace taxonomy: every literal ``tracer.span("...")`` name
            must appear in :data:`repro.observability.stages.CANONICAL_STAGES`.
 NBL006     Resource hygiene: driver ``connect()`` (``sqlite3`` or the
@@ -72,7 +70,7 @@ NBL013     Versioned-table write discipline: no raw ``UPDATE`` /
 =========  ==========================================================
 
 Findings can be suppressed inline with ``# nebula-lint: ignore`` or
-``# nebula-lint: ignore[NBL001,NBL004]`` on the flagged line, or via the
+``# nebula-lint: ignore[NBL001,NBL005]`` on the flagged line, or via the
 baseline file (see :mod:`repro.analysis.baseline`).
 """
 
@@ -356,91 +354,6 @@ def _enclosing_name(ctx: ModuleContext, lineno: int) -> str:
         if func.lineno <= lineno <= end:
             best = func.name
     return best
-
-
-# ----------------------------------------------------------------------
-# NBL004 — edge-weight invariants
-# ----------------------------------------------------------------------
-
-
-def check_edge_weights(ctx: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        # TRUE_EDGE_WEIGHT must be exactly 1.0 wherever it is (re)defined.
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "TRUE_EDGE_WEIGHT"
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, (int, float))
-                and float(node.value.value) != 1.0
-            ):
-                yield Finding(
-                    rule_id="NBL004",
-                    path=ctx.path,
-                    line=node.lineno,
-                    message=(
-                        f"TRUE_EDGE_WEIGHT is {node.value.value!r}; true edges "
-                        "carry weight exactly 1.0 (paper Figure 2)"
-                    ),
-                    fix_hint="set TRUE_EDGE_WEIGHT = 1.0",
-                    snippet=ctx.snippet(node.lineno),
-                )
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        method = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if method not in ("attach_predicted", "attach_true", "attach"):
-            continue
-        confidence: Optional[float] = None
-        line = node.lineno
-        for keyword in node.keywords:
-            if (
-                keyword.arg == "confidence"
-                and isinstance(keyword.value, ast.Constant)
-                and isinstance(keyword.value.value, (int, float))
-            ):
-                confidence = float(keyword.value.value)
-        if confidence is None:
-            continue
-        kind = method
-        if method == "attach":
-            kind_text = ""
-            for keyword in node.keywords:
-                if keyword.arg == "kind":
-                    kind_text = ast.unparse(keyword.value)
-            if "PREDICTED" in kind_text:
-                kind = "attach_predicted"
-            elif "TRUE" in kind_text:
-                kind = "attach_true"
-            else:
-                continue
-        if kind == "attach_predicted" and not 0.0 < confidence < 1.0:
-            yield Finding(
-                rule_id="NBL004",
-                path=ctx.path,
-                line=line,
-                message=(
-                    f"predicted attachment carries confidence {confidence}; "
-                    "predicted-edge weights must lie strictly in (0, 1)"
-                ),
-                fix_hint="use a confidence in (0, 1), or attach a true edge",
-                snippet=ctx.snippet(line),
-            )
-        elif kind == "attach_true" and confidence != 1.0:
-            yield Finding(
-                rule_id="NBL004",
-                path=ctx.path,
-                line=line,
-                message=(
-                    f"true attachment carries confidence {confidence}; "
-                    "true edges carry weight exactly 1.0"
-                ),
-                fix_hint="drop the confidence argument (true edges are weight 1.0)",
-                snippet=ctx.snippet(line),
-            )
 
 
 # ----------------------------------------------------------------------
@@ -853,7 +766,6 @@ def check_versioned_writes(ctx: ModuleContext) -> Iterator[Finding]:
 RULE_DOCS: Dict[str, str] = {
     "NBL001": "string-built SQL at an execute site",
     "NBL002": "SAVEPOINT without matching RELEASE/ROLLBACK TO",
-    "NBL004": "edge-weight constants/literals violate Figure 2 semantics",
     "NBL005": "tracer span name missing from the canonical stage registry",
     "NBL006": "storage connection/cursor/lease opened without cleanup",
     "NBL007": "direct sqlite3 import outside the storage backend package",

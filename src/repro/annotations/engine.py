@@ -210,29 +210,10 @@ class AnnotationManager:
         """Drop a rejected predicted attachment."""
         return self.store.detach(attachment_id)
 
-    def pending_predicted(self, annotation_id: Optional[int] = None) -> List[Attachment]:
-        """All predicted attachments, optionally for one annotation."""
-        if annotation_id is not None:
-            return [
-                a
-                for a in self.store.attachments_of(annotation_id)
-                if a.kind is AttachmentKind.PREDICTED
-            ]
-        rows = self.connection.execute(
-            "SELECT attachment_id FROM _nebula_attachments WHERE kind = 'predicted'"
-        ).fetchall()
-        out: List[Attachment] = []
-        for (attachment_id,) in rows:
-            for attachment in self.store.attachments_of(
-                self._annotation_of_attachment(attachment_id)
-            ):
-                if attachment.attachment_id == attachment_id:
-                    out.append(attachment)
-        return out
-
-    def _annotation_of_attachment(self, attachment_id: int) -> int:
-        row = self.connection.execute(
-            "SELECT annotation_id FROM _nebula_attachments WHERE attachment_id = ?",
-            (attachment_id,),
-        ).fetchone()
-        return int(row[0])
+    def pending_predicted(self, annotation_id: int) -> List[Attachment]:
+        """The predicted attachments of one annotation."""
+        return [
+            a
+            for a in self.store.attachments_of(annotation_id)
+            if a.kind is AttachmentKind.PREDICTED
+        ]

@@ -28,17 +28,6 @@ from ..utils.sql import quote_identifier
 from .engine import AnnotationManager
 from .store import AttachmentKind
 
-_RULES_DDL = """
-CREATE TABLE IF NOT EXISTS _nebula_annotation_rules (
-    rule_id       INTEGER PRIMARY KEY,
-    annotation_id INTEGER NOT NULL REFERENCES _nebula_annotations(annotation_id),
-    target_table  TEXT NOT NULL,
-    target_column TEXT,
-    predicate     TEXT NOT NULL,
-    active        INTEGER NOT NULL DEFAULT 1
-);
-"""
-
 _UNSAFE_RE = re.compile(
     r";|--|\b(?:drop|delete|insert|update|attach|pragma)\b", re.IGNORECASE
 )
@@ -62,7 +51,6 @@ class RuleEngine:
     def __init__(self, manager: AnnotationManager) -> None:
         self.manager = manager
         self.connection: Connection = manager.connection
-        self.connection.executescript(_RULES_DDL)
 
     # ------------------------------------------------------------------
     # Rule management

@@ -305,20 +305,22 @@ class PersistentHopProfile(HopProfile):
     survives process restarts — a freshly opened service selects K from
     everything the database has seen, not from an empty profile.
 
-    ``record`` runs inside the pipeline's ingestion SAVEPOINT, so a
-    rolled-back annotation reverts its bucket increments together with
-    the in-memory restore in ``Nebula._abort``.  Unreachable
-    discoveries persist under ``hops = -1`` (:data:`UNREACHABLE`).
+    The table is the profile's one source of truth: ``record`` runs
+    inside the pipeline's ingestion SAVEPOINT, and ``Nebula._abort``
+    calls :meth:`reload` after rolling it back.  Unreachable discoveries
+    persist under ``hops = -1`` (:data:`UNREACHABLE`).
     """
 
     def __init__(self, connection: "Connection") -> None:
         super().__init__()
         self.connection = connection
-        connection.execute(
-            "CREATE TABLE IF NOT EXISTS _nebula_hop_profile ("
-            "hops INTEGER PRIMARY KEY, count INTEGER NOT NULL)"
-        )
-        for hops, count in connection.execute(
+        self.reload()
+
+    def reload(self) -> None:
+        """Make the histogram equal the table's rows."""
+        self.buckets = {}
+        self.unreachable = 0
+        for hops, count in self.connection.execute(
             "SELECT hops, count FROM _nebula_hop_profile"
         ):
             if int(hops) == UNREACHABLE:

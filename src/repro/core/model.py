@@ -28,11 +28,6 @@ from ..types import TupleRef
 #: An edge identity: (annotation id, tuple).
 EdgeKey = Tuple[int, TupleRef]
 
-#: Weight of a *true* (solid) edge — the paper's Figure 2 semantics.  The
-#: static analyzer (rule NBL004) pins this to exactly 1.0; predicted-edge
-#: confidences must stay strictly inside (0, 1).
-TRUE_EDGE_WEIGHT = 1.0
-
 
 @dataclass(frozen=True)
 class Edge:

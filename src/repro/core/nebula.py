@@ -154,7 +154,6 @@ class Nebula:
         meta: NebulaMeta,
         config: Optional[NebulaConfig] = None,
         aliases: Optional[Dict[str, Tuple[str, Optional[str]]]] = None,
-        build_acg: bool = True,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         backend: Optional[SqliteFileBackend] = None,
@@ -229,11 +228,7 @@ class Nebula:
             analysis_cache=self.analysis_cache,
             index=self.index,
         )
-        self.acg = (
-            AnnotationsConnectivityGraph.build_from_manager(self.manager)
-            if build_acg
-            else AnnotationsConnectivityGraph()
-        )
+        self.acg = AnnotationsConnectivityGraph.build_from_manager(self.manager)
         self.profile = PersistentHopProfile(connection)
         self.stability = StabilityTracker(
             batch_size=self.config.batch_size, mu=self.config.stability_mu
@@ -608,7 +603,6 @@ class Nebula:
     ) -> List[DiscoveryReport]:
         """Stages 0-3 for ``requests`` in one SAVEPOINT and one ``kind``
         commit; the body of both public ingestion calls."""
-        profile_snapshot = (dict(self.profile.buckets), self.profile.unreachable)
         # Pin the spreading decision for the whole call; per member it
         # still requires a non-empty focal, exactly as in analyze().
         pinned = use_spreading if use_spreading is not None else self.stability.stable
@@ -701,7 +695,7 @@ class Nebula:
                 reports.append(report)
                 outcomes.append(outcome)
         except Exception as error:
-            self._abort(savepoint, inserted, profile_snapshot)
+            self._abort(savepoint, inserted)
             failure = (
                 error
                 if isinstance(error, PipelineStageError)
@@ -824,27 +818,21 @@ class Nebula:
             False,
         )
 
-    def _abort(
-        self,
-        savepoint: Savepoint,
-        inserted: Sequence[Annotation],
-        profile_snapshot: Tuple[Dict[int, int], int],
-    ) -> None:
+    def _abort(self, savepoint: Savepoint, inserted: Sequence[Annotation]) -> None:
         """Undo a failed ingestion completely.
 
         The SAVEPOINT rollback restores the database (annotation rows,
-        attachments, verification tasks); the in-memory ACG, hop profile,
-        and triage bookkeeping are restored to match.  The stability
-        tracker is only updated on success, so it needs no restore.
+        attachments, verification tasks, the hop-profile table); the
+        in-memory ACG, hop profile, and triage bookkeeping are restored
+        to match.  The stability tracker is only updated on success, so
+        it needs no restore.
         """
         savepoint.rollback()
         self.commit_log.abandon()
+        self.profile.reload()
         for annotation in inserted:
             self.acg.remove_annotation(annotation.annotation_id)
             self.queue.forget(annotation.annotation_id)
-        buckets, unreachable = profile_snapshot
-        self.profile.buckets = dict(buckets)
-        self.profile.unreachable = unreachable
 
     def reprocess_dead_letters(self) -> List[DiscoveryReport]:
         """Drain the dead-letter queue by re-running the full pipeline.

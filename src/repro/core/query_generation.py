@@ -53,7 +53,9 @@ PHASE_CONTEXT = "context_adjustment"
 PHASE_QUERIES = "query_formation"
 
 #: Most keywords one query forwards to the search engine: a Type-1
-#: match's {k1, k2, k3}.
+#: match's {k1, k2, k3}.  ``_candidate`` joins an entry with at most two
+#: partners and ``_backward_query`` builds pairs, so no candidate exceeds
+#: it (a property test pins the bound).
 MAX_QUERY_KEYWORDS = 3
 
 
@@ -201,7 +203,7 @@ def _best_match_query(
             return _candidate(entry, "type3", (column_partner,), best)
         return None
     if best.shape == SHAPE_TABLE:
-        value_partner = _find_value_partner(neighbors, best.table, None)
+        value_partner = _find_partner(neighbors, SHAPE_VALUE, best.table, None)
         if value_partner is None:
             return None
         value_entry, value_mapping = value_partner
@@ -214,7 +216,7 @@ def _best_match_query(
             )
         return _candidate(entry, "type2", ((value_entry, value_mapping),), best)
     # SHAPE_COLUMN
-    value_partner = _find_value_partner(neighbors, best.table, best.column)
+    value_partner = _find_partner(neighbors, SHAPE_VALUE, best.table, best.column)
     if value_partner is None:
         return None
     value_entry, value_mapping = value_partner
@@ -237,23 +239,6 @@ def _find_partner(
     for neighbor in neighbors:
         for mapping in neighbor.mappings:
             if mapping.shape != shape:
-                continue
-            if mapping.table.casefold() != table.casefold():
-                continue
-            if column is not None and (mapping.column or "").casefold() != column.casefold():
-                continue
-            if best_pair is None or mapping.weight > best_pair[1].weight:
-                best_pair = (neighbor, mapping)
-    return best_pair
-
-
-def _find_value_partner(
-    neighbors: Sequence[MapEntry], table: str, column: Optional[str]
-) -> Optional[Tuple[MapEntry, WeightedMapping]]:
-    best_pair: Optional[Tuple[MapEntry, WeightedMapping]] = None
-    for neighbor in neighbors:
-        for mapping in neighbor.mappings:
-            if mapping.shape != SHAPE_VALUE:
                 continue
             if mapping.table.casefold() != table.casefold():
                 continue
@@ -338,8 +323,6 @@ def _backward_query(
 def _finalize(candidates: Sequence[CandidateQuery]) -> List[KeywordQuery]:
     best_by_keywords: Dict[frozenset, CandidateQuery] = {}
     for candidate in candidates:
-        if len(candidate.keywords) > MAX_QUERY_KEYWORDS:
-            continue
         key = frozenset(normalize_word(k) for k in candidate.keywords)
         current = best_by_keywords.get(key)
         if current is None or candidate.weight > current.weight:

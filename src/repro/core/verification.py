@@ -28,20 +28,6 @@ from ..storage.compat import Connection
 from ..types import CellRef, ScoredTuple, TupleRef
 from .acg import AnnotationsConnectivityGraph, HopProfile
 
-_TASKS_DDL = """
-CREATE TABLE IF NOT EXISTS _nebula_verification_tasks (
-    task_id       INTEGER PRIMARY KEY,
-    annotation_id INTEGER NOT NULL,
-    target_table  TEXT NOT NULL,
-    target_rowid  INTEGER NOT NULL,
-    confidence    REAL NOT NULL,
-    evidence      TEXT NOT NULL,
-    status        TEXT NOT NULL CHECK (status IN
-        ('pending', 'auto_accepted', 'auto_rejected', 'verified', 'rejected'))
-);
-"""
-
-
 class Decision(str, Enum):
     """Lifecycle states of a verification task."""
 
@@ -85,7 +71,6 @@ class VerificationQueue:
         self.acg = acg
         self.profile = profile
         self.connection: Connection = manager.connection
-        self.connection.executescript(_TASKS_DDL)
         #: Focal of each triaged annotation — needed for profile updates.
         self._focal_of: Dict[int, Tuple[TupleRef, ...]] = {}
 

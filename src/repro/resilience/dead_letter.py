@@ -27,23 +27,6 @@ from ..storage.compat import Connection, Cursor
 from ..types import TupleRef
 from .retry import RetryPolicy
 
-_DDL = """
-CREATE TABLE IF NOT EXISTS _nebula_dead_letters (
-    letter_id   INTEGER PRIMARY KEY,
-    content     TEXT NOT NULL,
-    author      TEXT,
-    focal_json  TEXT NOT NULL,
-    stage       TEXT NOT NULL,
-    error       TEXT NOT NULL,
-    attempts    INTEGER NOT NULL DEFAULT 1,
-    status      TEXT NOT NULL DEFAULT 'pending'
-        CHECK (status IN ('pending', 'resolved')),
-    claimed     INTEGER NOT NULL DEFAULT 0,
-    request_id  TEXT,
-    commit_id   INTEGER
-);
-"""
-
 _COLUMNS = (
     "letter_id, content, author, focal_json, stage, error, attempts, status, "
     "request_id, commit_id"
@@ -78,48 +61,16 @@ class DeadLetter:
 
 
 class DeadLetterQueue:
-    """SQLite-backed queue of annotations whose pipeline failed."""
+    """SQLite-backed queue of annotations whose pipeline failed.
+
+    The table comes from migration 0004 (:mod:`repro.versioning.migrations`).
+    """
 
     def __init__(
         self, connection: Connection, retry: Optional[RetryPolicy] = None
     ) -> None:
         self.connection = connection
         self._retry = retry
-        self._execute_script(_DDL)
-        self._ensure_claim_column()
-
-    def _ensure_claim_column(self) -> None:
-        """Migrate older databases: add the columns later PRs introduced.
-
-        ``CREATE TABLE IF NOT EXISTS`` leaves an existing table alone, so
-        a database written before the replay-claim protocol lacks
-        ``claimed`` (its 0 default is exactly the unclaimed state), and
-        one written before the telemetry plane lacks ``request_id``
-        (NULL: no service submission is associated).
-        """
-        columns = {
-            str(row[1])
-            for row in self._execute("PRAGMA table_info(_nebula_dead_letters)")
-        }
-        migrated = False
-        if "claimed" not in columns:
-            self._execute(
-                "ALTER TABLE _nebula_dead_letters "
-                "ADD COLUMN claimed INTEGER NOT NULL DEFAULT 0"
-            )
-            migrated = True
-        if "request_id" not in columns:
-            self._execute(
-                "ALTER TABLE _nebula_dead_letters ADD COLUMN request_id TEXT"
-            )
-            migrated = True
-        if "commit_id" not in columns:
-            self._execute(
-                "ALTER TABLE _nebula_dead_letters ADD COLUMN commit_id INTEGER"
-            )
-            migrated = True
-        if migrated:
-            self._commit()
 
     # ------------------------------------------------------------------
 
@@ -127,12 +78,6 @@ class DeadLetterQueue:
         if self._retry is not None:
             return self._retry.run(lambda: self.connection.execute(sql, params), sql)
         return self.connection.execute(sql, params)
-
-    def _execute_script(self, script: str) -> None:
-        if self._retry is not None:
-            self._retry.run(lambda: self.connection.executescript(script), "ddl")
-        else:
-            self.connection.executescript(script)
 
     def _commit(self) -> None:
         """Make a queue write durable right away (see module docstring)."""

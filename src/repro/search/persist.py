@@ -5,7 +5,8 @@ from scratch on every engine open — a full scan of every searchable
 column, which is the cold-start cost that caps service startup time and
 the memory that caps database size (EMBANKS-style disk-based keyword
 indexes are the standard answer).  This module keeps the very same index
-in two backend tables instead:
+in two backend tables instead, created by migration 0003
+(:mod:`repro.versioning.migrations`):
 
 ``_nebula_index_postings``
     One row per posting: ``(token, tbl, col, row_id)`` plus a
@@ -55,31 +56,6 @@ from .index import _EMPTY, InvertedValueIndex, Posting
 
 #: Bump when the persisted layout changes; a mismatch forces a rebuild.
 SCHEMA_VERSION = 1
-
-_DDL = """
-CREATE TABLE IF NOT EXISTS _nebula_index_postings (
-    posting_id INTEGER PRIMARY KEY,
-    token      TEXT NOT NULL,
-    tbl        TEXT NOT NULL,
-    col        TEXT NOT NULL,
-    row_id     INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS _nebula_index_postings_token
-    ON _nebula_index_postings (token);
-CREATE TABLE IF NOT EXISTS _nebula_index_stats (
-    kind  TEXT NOT NULL,
-    tbl   TEXT NOT NULL,
-    col   TEXT NOT NULL,
-    value INTEGER NOT NULL,
-    PRIMARY KEY (kind, tbl, col)
-);
-"""
-
-
-def ensure_schema(connection: Connection) -> None:
-    """Create the index tables when absent (idempotent)."""
-    connection.executescript(_DDL)
-
 
 def _column_key(table: str, column: str) -> Tuple[str, str]:
     return (table.casefold(), column.casefold())
@@ -190,7 +166,6 @@ class PersistentValueIndex(InvertedValueIndex):
         stale and a fresh build was persisted (and committed).
         """
         requested = _dedup_columns(columns)
-        ensure_schema(connection)
         index = cls(connection, metrics=metrics)
         with tracer.span("index.load") as span:
             loaded = index._load_if_valid(requested)
@@ -202,9 +177,10 @@ class PersistentValueIndex(InvertedValueIndex):
             index._rebuild(requested)
             # The rebuild must survive the caller never committing (a
             # read-only CLI command) and the service's startup rollback;
-            # the manager's ``executescript`` has already folded any
-            # pending caller transaction at engine-construction time, so
-            # this commit finalizes only index writes.
+            # the migration chain's ``executescript`` (run by the
+            # manager's store) has already folded any pending caller
+            # transaction at engine-construction time, so this commit
+            # finalizes only index writes.
             connection.commit()
             span.set_attribute("columns", len(requested))
         return index, "rebuilt"
@@ -330,13 +306,10 @@ class PersistentValueIndex(InvertedValueIndex):
         )
 
     def _commit_head(self) -> int:
-        """Newest annotation-log commit id; 0 when the log is absent."""
-        try:
-            row = self.connection.execute(
-                "SELECT COALESCE(MAX(commit_id), 0) FROM _nebula_commits"
-            ).fetchone()
-        except Exception:
-            return 0
+        """Newest annotation-log commit id; 0 on an empty log."""
+        row = self.connection.execute(
+            "SELECT COALESCE(MAX(commit_id), 0) FROM _nebula_commits"
+        ).fetchone()
         return int(row[0])
 
     def _stamp_from_data(self, table: str, column: str) -> None:

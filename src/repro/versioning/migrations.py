@@ -18,11 +18,19 @@ the database had when it was migrated.
 
 The chain so far:
 
-====  =================  ===================================================
-0001  legacy-base        the seed annotation/attachment tables + indexes
-0002  versioning         commit log, history tables, current views, backfill
-0003  persistent-index   the PR 9 search-index tables (postings + stats)
-====  =================  ===================================================
+======  ======================  =============================================
+0001    legacy-base             the seed annotation/attachment tables + indexes
+0002    versioning              commit log, history tables, current views,
+                                backfill
+0003    persistent-index        the search-index tables (postings + stats)
+0004    operational-tables      dead letters, verification tasks, hop profile,
+                                annotation rules
+======  ======================  =============================================
+
+Components assume the chain has run: none of them creates or alters a
+table.  A caller holding an unmigrated connection runs
+:func:`ensure_schema` first (:class:`~repro.annotations.store.AnnotationStore`
+does so on construction).
 """
 
 from __future__ import annotations
@@ -85,6 +93,63 @@ CREATE TABLE IF NOT EXISTS _nebula_index_stats (
     PRIMARY KEY (kind, tbl, col)
 );
 """
+
+
+#: The engine's operational state.  These tables predate the chain
+#: (their owners created them on construction), so 0004 creates each
+#: only when absent and its downgrade keeps them with their rows.
+_OPERATIONAL_DDL = """
+CREATE TABLE IF NOT EXISTS _nebula_dead_letters (
+    letter_id   INTEGER PRIMARY KEY,
+    content     TEXT NOT NULL,
+    author      TEXT,
+    focal_json  TEXT NOT NULL,
+    stage       TEXT NOT NULL,
+    error       TEXT NOT NULL,
+    attempts    INTEGER NOT NULL DEFAULT 1,
+    status      TEXT NOT NULL DEFAULT 'pending'
+        CHECK (status IN ('pending', 'resolved')),
+    claimed     INTEGER NOT NULL DEFAULT 0,
+    request_id  TEXT,
+    commit_id   INTEGER
+);
+CREATE TABLE IF NOT EXISTS _nebula_verification_tasks (
+    task_id       INTEGER PRIMARY KEY,
+    annotation_id INTEGER NOT NULL,
+    target_table  TEXT NOT NULL,
+    target_rowid  INTEGER NOT NULL,
+    confidence    REAL NOT NULL,
+    evidence      TEXT NOT NULL,
+    status        TEXT NOT NULL CHECK (status IN
+        ('pending', 'auto_accepted', 'auto_rejected', 'verified', 'rejected'))
+);
+CREATE TABLE IF NOT EXISTS _nebula_hop_profile (
+    hops  INTEGER PRIMARY KEY,
+    count INTEGER NOT NULL
+);
+CREATE TABLE IF NOT EXISTS _nebula_annotation_rules (
+    rule_id       INTEGER PRIMARY KEY,
+    annotation_id INTEGER NOT NULL REFERENCES _nebula_annotations(annotation_id),
+    target_table  TEXT NOT NULL,
+    target_column TEXT,
+    predicate     TEXT NOT NULL,
+    active        INTEGER NOT NULL DEFAULT 1
+);
+"""
+
+#: Dead-letter columns added after the table first shipped, each with
+#: the statement that adds it to an older table: ``claimed`` (the replay
+#: claim; 0 is the unclaimed state), ``request_id`` (the service
+#: submission; NULL for none) and ``commit_id`` (the replay commit).
+_DEAD_LETTER_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    (
+        "claimed",
+        "ALTER TABLE _nebula_dead_letters "
+        "ADD COLUMN claimed INTEGER NOT NULL DEFAULT 0",
+    ),
+    ("request_id", "ALTER TABLE _nebula_dead_letters ADD COLUMN request_id TEXT"),
+    ("commit_id", "ALTER TABLE _nebula_dead_letters ADD COLUMN commit_id INTEGER"),
+)
 
 
 def _utc_now() -> str:
@@ -183,6 +248,23 @@ def _downgrade_persistent_index(connection: Connection) -> None:
     )
 
 
+def _upgrade_operational_tables(connection: Connection) -> None:
+    connection.executescript(_OPERATIONAL_DDL)
+    present = {
+        str(row[1])
+        for row in connection.execute("PRAGMA table_info(_nebula_dead_letters)")
+    }
+    for column, add_column in _DEAD_LETTER_COLUMNS:
+        if column not in present:
+            connection.execute(add_column)
+
+
+def _downgrade_operational_tables(connection: Connection) -> None:
+    """Keep the tables: they hold live state (pending tasks, unreplayed
+    letters) that no other revision can rebuild, so a down -> up round
+    trip stays lossless for them."""
+
+
 #: The full ordered chain every database is kept on.
 MIGRATIONS: Tuple[Migration, ...] = (
     Migration(
@@ -202,6 +284,12 @@ MIGRATIONS: Tuple[Migration, ...] = (
         name="persistent-index",
         upgrade=_upgrade_persistent_index,
         downgrade=_downgrade_persistent_index,
+    ),
+    Migration(
+        revision="0004",
+        name="operational-tables",
+        upgrade=_upgrade_operational_tables,
+        downgrade=_downgrade_operational_tables,
     ),
 )
 
@@ -296,9 +384,10 @@ class MigrationRunner:
     def downgrade(self, target: str = BASELINE_REVISION) -> List[str]:
         """Revert applied revisions above ``target``, newest first.
 
-        The default lands on the legacy base schema — the clean
+        The default lands on the legacy base schema — the
         pre-versioning layout (the materialized head tables hold the
-        latest state, so no annotation data is lost).
+        latest state, so no annotation data is lost), beside the
+        operational tables 0004 keeps.
         """
         by_revision = {m.revision: m for m in self.migrations}
         reverted: List[str] = []

@@ -239,7 +239,7 @@ class TestSavepointPairing:
 
 
 # ----------------------------------------------------------------------
-# NBL004 — paper invariants
+# Paper invariants (the retired NBL003 and NBL004)
 # ----------------------------------------------------------------------
 
 
@@ -247,6 +247,9 @@ class TestPaperInvariants:
     # The β and ε invariants are no lint rule: NebulaConfig.__post_init__
     # rejects each violation, so a bad default fails when it is first
     # instantiated (repro.config builds NEBULA_06 and NEBULA_08 at import).
+    # Nor are the edge weights: AnnotationStore.attach forces true edges
+    # to 1.0 and rejects a predicted confidence outside [0, 1)
+    # (test_annotations_store.py::TestAttachments).
 
     def test_beta_ordering_violation_flagged(self):
         @dataclass(frozen=True)
@@ -271,24 +274,6 @@ class TestPaperInvariants:
         assert NebulaConfig().beta1 > NebulaConfig().beta2
         assert NebulaConfig(beta2=0.4).beta2 == 0.4
         assert NebulaConfig(epsilon=1.0).epsilon == 1.0
-
-    def test_true_edge_weight_pinned(self, tmp_path):
-        findings = lint(tmp_path, "TRUE_EDGE_WEIGHT = 0.9\n")
-        assert rule_ids(findings) == ["NBL004"]
-
-    def test_true_edge_weight_exact_clean(self, tmp_path):
-        findings = lint(tmp_path, "TRUE_EDGE_WEIGHT = 1.0\n")
-        assert findings == []
-
-    def test_predicted_confidence_bounds(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "def f(m, ann, ref):\n"
-            "    m.attach_predicted(ann, ref, confidence=1.0)\n"
-            "    m.attach_predicted(ann, ref, confidence=0.7)\n",
-        )
-        assert rule_ids(findings) == ["NBL004"]
-        assert findings[0].line == 2
 
 
 # ----------------------------------------------------------------------

@@ -151,7 +151,3 @@ class TestEngineSetup:
     def test_acg_built_from_existing_annotations(self, db, nebula):
         assert nebula.acg.node_count > 0
         assert nebula.acg.edge_count > 0
-
-    def test_acg_skippable(self, db):
-        bare = Nebula(db.backend, db.meta, build_acg=False)
-        assert bare.acg.node_count == 0

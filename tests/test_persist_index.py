@@ -22,6 +22,7 @@ from repro.perf import AnalysisCache
 from repro.search.engine import KeywordQuery, KeywordSearchEngine
 from repro.search.index import InvertedValueIndex
 from repro.search.persist import PersistentValueIndex
+from repro.versioning import ensure_schema
 
 from conftest import build_figure1_meta
 
@@ -32,6 +33,9 @@ TINY_SPEC = BioDatabaseSpec(genes=40, proteins=24, publications=60, seed=23)
 
 
 def _open(connection, columns=SEARCHABLE, **kwargs):
+    # The index tables come from the migration chain, which an engine
+    # open runs first; a bare index open must run it too.
+    ensure_schema(connection)
     return PersistentValueIndex.open(connection, columns, **kwargs)
 
 
@@ -218,6 +222,7 @@ class TestStalenessDetection:
 
 class TestPersistentHopProfile:
     def test_counts_survive_reopen(self, figure1_connection):
+        ensure_schema(figure1_connection)
         profile = PersistentHopProfile(figure1_connection)
         for hops in (1, 1, 2, UNREACHABLE):
             profile.record(hops)
@@ -228,6 +233,7 @@ class TestPersistentHopProfile:
         assert reopened.as_rows() == profile.as_rows()
 
     def test_behaves_like_memory_profile(self, figure1_connection):
+        ensure_schema(figure1_connection)
         persistent = PersistentHopProfile(figure1_connection)
         memory = HopProfile()
         for hops in (1, 2, 2, 3, UNREACHABLE):

@@ -130,7 +130,8 @@ def test_query_generation_invariants(fragments, epsilon):
     # No duplicate keyword sets.
     seen = [frozenset(normalize_word(k) for k in q.keywords) for q in first.queries]
     assert len(seen) == len(set(seen))
-    # Keyword count bounded.
+    # Keyword count bounded, already before deduplication.
+    assert all(len(c.keywords) <= MAX_QUERY_KEYWORDS for c in first.candidates)
     assert all(len(q.keywords) <= MAX_QUERY_KEYWORDS for q in first.queries)
 
 

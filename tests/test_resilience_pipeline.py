@@ -6,6 +6,7 @@ import sqlite3
 import pytest
 
 from repro import Nebula, NebulaConfig, generate_bio_database
+from repro.core.acg import PersistentHopProfile
 from repro.datagen.biodb import BioDatabaseSpec
 from repro.errors import DeadLetterError, PipelineStageError, TransientStorageError
 from repro.observability import MetricsRegistry, set_metrics
@@ -21,6 +22,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.types import TupleRef
+from repro.versioning import ensure_schema
 
 
 @pytest.fixture()
@@ -95,6 +97,26 @@ class TestRollback:
             sample_insert(db, nebula)
         assert nebula.profile.buckets == buckets_before
         assert nebula.profile.unreachable == unreachable_before
+        # The table is the profile's one source of truth after a rollback.
+        assert nebula.profile == PersistentHopProfile(nebula.connection)
+
+    def test_rollback_reverts_hops_recorded_before_the_failure(
+        self, db, nebula, monkeypatch
+    ):
+        # Triage records a hop (memory and table, inside the ingestion
+        # SAVEPOINT) and then fails: the rollback reverts the table row,
+        # and the in-memory profile must follow it.
+        before = (dict(nebula.profile.buckets), nebula.profile.unreachable)
+
+        def record_then_fail(*args, **kwargs):
+            nebula.profile.record(7)
+            raise RuntimeError("triage failed after recording a hop")
+
+        monkeypatch.setattr(nebula.queue, "triage", record_then_fail)
+        with pytest.raises(PipelineStageError):
+            sample_insert(db, nebula, capture_dead_letter=False)
+        assert (nebula.profile.buckets, nebula.profile.unreachable) == before
+        assert nebula.profile == PersistentHopProfile(nebula.connection)
 
     def test_rollback_leaves_stability_tracker_untouched(self, db, nebula, faults):
         history_before = list(nebula.stability.history)
@@ -313,8 +335,9 @@ class TestDeadLetters:
         assert len(nebula.reprocess_dead_letters()) == 1
 
     def test_claim_column_migrates_onto_old_tables(self, tmp_path):
-        """A database created before the claim protocol (no ``claimed``
-        column) upgrades in place on open."""
+        """A dead-letter table created before the claim protocol (no
+        ``claimed``, ``request_id`` or ``commit_id`` column) is upgraded
+        in place by the migration chain."""
         import sqlite3
 
         path = tmp_path / "old.db"
@@ -343,6 +366,12 @@ class TestDeadLetters:
         old.close()
 
         reopened = sqlite3.connect(path)
+        ensure_schema(reopened)
+        columns = {
+            row[1]
+            for row in reopened.execute("PRAGMA table_info(_nebula_dead_letters)")
+        }
+        assert {"claimed", "request_id", "commit_id"} <= columns
         queue = DeadLetterQueue(reopened)
         (letter,) = queue.pending(include_claimed=False)
         assert letter.content == "legacy"
@@ -357,6 +386,7 @@ class TestDeadLetters:
 
         path = tmp_path / "curated.db"
         connection = sqlite3.connect(path)
+        ensure_schema(connection)
         queue = DeadLetterQueue(connection)
         queue.capture("text", (TupleRef("Gene", 1),), "alice", "store.add", "boom")
         connection.close()  # no commit — simulates the failing process dying

@@ -212,7 +212,7 @@ class TestCli:
     def test_lint_forwards_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 12
+        assert len(lines) == 11
         assert all(line.startswith("NBL") for line in lines)
 
     def test_lint_forwards_paths_and_flags(self, tmp_path, capsys):
@@ -277,18 +277,18 @@ class TestVersioningCli:
         capsys.readouterr()
         assert main(["migrate", "status", "--db", seeded_db]) == 0
         out = capsys.readouterr().out
-        assert "current revision: 0003" in out
+        assert "current revision: 0004" in out
 
         assert main(["migrate", "down", "--db", seeded_db]) == 0
-        assert "reverted 0003, 0002" in capsys.readouterr().out
+        assert "reverted 0004, 0003, 0002" in capsys.readouterr().out
 
         # status now reports pending work via the exit code.
         assert main(["migrate", "status", "--db", seeded_db]) == 1
         out = capsys.readouterr().out
-        assert "pending 0002" in out and "pending 0003" in out
+        assert all(f"pending {r}" in out for r in ("0002", "0003", "0004"))
 
         assert main(["migrate", "up", "--db", seeded_db]) == 0
-        assert "now at 0003" in capsys.readouterr().out
+        assert "now at 0004" in capsys.readouterr().out
 
         # The annotation survived the roundtrip, history rebuilt from head.
         assert main(["history", "--db", seeded_db, "1"]) == 0

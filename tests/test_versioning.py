@@ -12,7 +12,11 @@ import threading
 import pytest
 
 from repro import Nebula, NebulaConfig, generate_bio_database, get_backend
+from repro.annotations.engine import AnnotationManager
+from repro.annotations.rules import RuleEngine
 from repro.annotations.store import AnnotationStore, AttachmentKind
+from repro.core.acg import PersistentHopProfile
+from repro.core.verification import VerificationQueue
 from repro.datagen.biodb import BioDatabaseSpec
 from repro.errors import (
     MigrationError,
@@ -20,6 +24,7 @@ from repro.errors import (
     VersioningError,
 )
 from repro.observability import MetricsRegistry, set_metrics
+from repro.resilience import DeadLetterQueue
 from repro.service import AnnotationService, ServiceConfig
 from repro.types import CellRef, TupleRef
 from repro.versioning import (
@@ -424,6 +429,85 @@ def _seed_legacy(connection):
     )
 
 
+#: The four operational tables as the engine's components created them
+#: on construction before revision 0004 took them over.
+_COMPONENT_DDL = """
+CREATE TABLE IF NOT EXISTS _nebula_dead_letters (
+    letter_id   INTEGER PRIMARY KEY,
+    content     TEXT NOT NULL,
+    author      TEXT,
+    focal_json  TEXT NOT NULL,
+    stage       TEXT NOT NULL,
+    error       TEXT NOT NULL,
+    attempts    INTEGER NOT NULL DEFAULT 1,
+    status      TEXT NOT NULL DEFAULT 'pending'
+        CHECK (status IN ('pending', 'resolved')),
+    claimed     INTEGER NOT NULL DEFAULT 0,
+    request_id  TEXT,
+    commit_id   INTEGER
+);
+CREATE TABLE IF NOT EXISTS _nebula_verification_tasks (
+    task_id       INTEGER PRIMARY KEY,
+    annotation_id INTEGER NOT NULL,
+    target_table  TEXT NOT NULL,
+    target_rowid  INTEGER NOT NULL,
+    confidence    REAL NOT NULL,
+    evidence      TEXT NOT NULL,
+    status        TEXT NOT NULL CHECK (status IN
+        ('pending', 'auto_accepted', 'auto_rejected', 'verified', 'rejected'))
+);
+CREATE TABLE IF NOT EXISTS _nebula_hop_profile (
+    hops INTEGER PRIMARY KEY, count INTEGER NOT NULL
+);
+CREATE TABLE IF NOT EXISTS _nebula_annotation_rules (
+    rule_id       INTEGER PRIMARY KEY,
+    annotation_id INTEGER NOT NULL REFERENCES _nebula_annotations(annotation_id),
+    target_table  TEXT NOT NULL,
+    target_column TEXT,
+    predicate     TEXT NOT NULL,
+    active        INTEGER NOT NULL DEFAULT 1
+);
+"""
+
+OPERATIONAL_TABLES = (
+    "_nebula_dead_letters",
+    "_nebula_verification_tasks",
+    "_nebula_hop_profile",
+    "_nebula_annotation_rules",
+)
+
+
+def _seed_operational_rows(connection):
+    """Rows in each operational table (annotation 1 must exist)."""
+    connection.execute(
+        "INSERT INTO _nebula_dead_letters "
+        "(content, author, focal_json, stage, error, request_id) "
+        "VALUES ('replay me', 'ann', ?, 'queue.triage', 'boom', 'req-1-1')",
+        ('[["Gene", 1]]',),
+    )
+    connection.execute(
+        "INSERT INTO _nebula_verification_tasks (annotation_id, target_table, "
+        "target_rowid, confidence, evidence, status) "
+        "VALUES (1, 'Gene', 3, 0.5, 'q@0:type2:gene+grpC', 'pending')"
+    )
+    connection.executemany(
+        "INSERT INTO _nebula_hop_profile (hops, count) VALUES (?, ?)",
+        [(1, 3), (2, 1), (-1, 1)],
+    )
+    connection.execute(
+        "INSERT INTO _nebula_annotation_rules "
+        "(annotation_id, target_table, predicate) VALUES (1, 'Gene', ?)",
+        ("Name LIKE 'grp%'",),
+    )
+
+
+def _operational_rows(connection):
+    return {
+        table: connection.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+        for table in OPERATIONAL_TABLES
+    }
+
+
 class TestMigrations:
     def test_fresh_database_gets_full_chain(self, storage_backend):
         connection = storage_backend.primary
@@ -437,14 +521,14 @@ class TestMigrations:
         _seed_legacy(connection)
         runner = MigrationRunner(connection)
         assert runner.current_revision() == BASELINE_REVISION
-        assert [m.revision for m in runner.pending()] == ["0002", "0003"]
+        assert [m.revision for m in runner.pending()] == ["0002", "0003", "0004"]
 
     def test_upgrade_backfills_history(self, storage_backend):
         connection = storage_backend.primary
         _seed_legacy(connection)
         runner = MigrationRunner(connection)
         applied = runner.upgrade()
-        assert applied == ["0002", "0003"]
+        assert applied == ["0002", "0003", "0004"]
         log = CommitLog(connection)
         # One migrate commit holds the backfill of every pre-existing row.
         commits = log.commits()
@@ -494,7 +578,7 @@ class TestMigrations:
         runner = MigrationRunner(connection)
         runner.upgrade()
         reverted = runner.downgrade()
-        assert reverted == ["0003", "0002"]
+        assert reverted == ["0004", "0003", "0002"]
         assert runner.current_revision() == BASELINE_REVISION
         names = {name for _, name in _schema_objects(connection)}
         assert "_nebula_commits" not in names
@@ -523,7 +607,57 @@ class TestMigrations:
         runner = MigrationRunner(connection)
         assert runner.upgrade(target="0002") == ["0002"]
         assert runner.current_revision() == "0002"
-        assert [m.revision for m in runner.pending()] == ["0003"]
+        assert [m.revision for m in runner.pending()] == ["0003", "0004"]
+
+    def test_fresh_database_has_operational_tables(self, storage_backend):
+        connection = storage_backend.primary
+        ensure_schema(connection)
+        assert MigrationRunner(connection).current_revision() == "0004"
+        names = {name for _, name in _schema_objects(connection)}
+        assert set(OPERATIONAL_TABLES) <= names
+        assert all(rows == [] for rows in _operational_rows(connection).values())
+
+    def test_component_created_tables_upgrade_with_rows_intact(
+        self, storage_backend
+    ):
+        # The layout before revision 0004: the chain at 0003 beside
+        # operational tables created, and filled, by their components.
+        connection = storage_backend.primary
+        _seed_legacy(connection)
+        MigrationRunner(connection).upgrade(target="0003")
+        connection.executescript(_COMPONENT_DDL)
+        _seed_operational_rows(connection)
+        connection.commit()
+        before = _operational_rows(connection)
+
+        manager = AnnotationManager(connection)  # the engine-open path
+        runner = MigrationRunner(connection)
+        assert [r.revision for r in runner.applied()] == [
+            "0001", "0002", "0003", "0004",
+        ]
+        assert _operational_rows(connection) == before
+        # Every component reads its rows back unchanged.
+        (letter,) = DeadLetterQueue(connection).pending()
+        assert (letter.content, letter.request_id) == ("replay me", "req-1-1")
+        (task,) = VerificationQueue(manager).pending()
+        assert (task.annotation_id, task.ref) == (1, TupleRef("Gene", 3))
+        profile = PersistentHopProfile(connection)
+        assert (profile.buckets, profile.unreachable) == ({1: 3, 2: 1}, 1)
+        (rule,) = RuleEngine(manager).rules()
+        assert rule.predicate == "Name LIKE 'grp%'"
+
+    def test_downgrade_keeps_operational_rows(self, storage_backend):
+        connection = storage_backend.primary
+        _seed_legacy(connection)
+        runner = MigrationRunner(connection)
+        runner.upgrade()
+        _seed_operational_rows(connection)
+        connection.commit()
+        before = _operational_rows(connection)
+        runner.downgrade()
+        assert _operational_rows(connection) == before
+        assert runner.upgrade() == ["0002", "0003", "0004"]
+        assert _operational_rows(connection) == before
 
     def test_unordered_chain_rejected(self, storage_backend):
         connection = storage_backend.primary
