@@ -227,11 +227,17 @@ class NebulaMeta:
         is a set, whose iteration order follows the string hash seed.
         """
         rng = make_rng(seed, "meta-sampling")
+        # Declared column types per table (casefolded name): one
+        # ``PRAGMA table_info`` per table, however many of its columns
+        # the concepts refer to.
+        declared_types: Dict[str, Dict[str, str]] = {}
         for concept in self.concepts:
             for column in sorted(
                 concept.referencing_columns, key=lambda c: (c.table, c.column)
             ):
-                self._bootstrap_column(connection, column, sample_size, infer_patterns, rng)
+                self._bootstrap_column(
+                    connection, column, sample_size, infer_patterns, rng, declared_types
+                )
 
     def _bootstrap_column(
         self,
@@ -240,12 +246,16 @@ class NebulaMeta:
         sample_size: int,
         infer_patterns: bool,
         rng: random.Random,
+        declared_types: Dict[str, Dict[str, str]],
     ) -> None:
         key = (normalize_word(column.table), normalize_word(column.column))
-        cursor = connection.execute(
-            f"PRAGMA table_info({quote_identifier(column.table)})"
-        )
-        declared = {row[1].casefold(): (row[2] or "TEXT") for row in cursor.fetchall()}
+        declared = declared_types.get(column.table.casefold())
+        if declared is None:
+            cursor = connection.execute(
+                f"PRAGMA table_info({quote_identifier(column.table)})"
+            )
+            declared = {row[1].casefold(): (row[2] or "TEXT") for row in cursor.fetchall()}
+            declared_types[column.table.casefold()] = declared
         if column.column.casefold() not in declared:
             raise MetadataError(
                 f"referencing column {column.qualified} absent from database schema"

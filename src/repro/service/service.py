@@ -43,6 +43,7 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from ..core.nebula import DiscoveryReport, Nebula
@@ -74,18 +75,6 @@ from ..versioning import timetravel
 from .queue import Submission, SubmissionQueue, mint_batch_id
 
 T = TypeVar("T")
-
-# Pinned (``as_of``) variants of the read-endpoint queries.  The full
-# statements are composed in :mod:`repro.versioning.timetravel`, where
-# every piece is a local literal (NBL001-safe by construction).
-
-_FIND_AS_OF = timetravel.FIND_ANNOTATIONS_AS_OF
-
-_ANNOTATIONS_FOR_AS_OF = timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF
-
-#: Pending tasks restricted to annotations visible at the pinned commit
-#: (the task table itself is operational state, not versioned).
-_PENDING_AS_OF = timetravel.PENDING_TASKS_AS_OF
 
 #: Sentinel distinguishing "use the configured default deadline" from an
 #: explicit ``deadline=None`` ("no deadline at all").
@@ -851,7 +840,7 @@ class AnnotationService:
             )
             params: Tuple = (needle, int(limit))
         else:
-            sql = _FIND_AS_OF
+            sql = timetravel.FIND_ANNOTATIONS_AS_OF
             params = (int(as_of), needle, int(limit))
         return self._read(
             lambda connection: [
@@ -874,10 +863,10 @@ class AnnotationService:
                 "WHERE t.target_table = ? AND t.target_rowid = ? "
                 "ORDER BY t.confidence DESC, a.annotation_id"
             )
-            params: Tuple = (table, int(rowid))
+            params: Union[Tuple, Dict[str, object]] = (table, int(rowid))
         else:
-            sql = _ANNOTATIONS_FOR_AS_OF
-            params = (int(as_of), int(as_of), table, int(rowid))
+            sql = timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF
+            params = {"pin": int(as_of), "table": table, "rowid": int(rowid)}
         return self._read(
             lambda connection: [
                 (int(row[0]), str(row[1]), float(row[2]), str(row[3]))
@@ -903,10 +892,10 @@ class AnnotationService:
                 "WHERE status = 'pending' "
                 "ORDER BY confidence DESC, task_id LIMIT ?"
             )
-            params: Tuple = (bound,)
+            params: Union[Tuple, Dict[str, object]] = (bound,)
         else:
-            sql = _PENDING_AS_OF
-            params = (int(as_of), bound)
+            sql = timetravel.PENDING_TASKS_AS_OF
+            params = {"pin": int(as_of), "limit": bound}
         return self._read(
             lambda connection: [
                 (int(r[0]), int(r[1]), str(r[2]), int(r[3]), float(r[4]))

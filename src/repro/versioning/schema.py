@@ -24,9 +24,13 @@ appends the matching history row inside the same SAVEPOINT, so the two
 representations cannot diverge under rollback.  The
 ``*_current`` views recompute the head purely from history (latest
 ``history_id`` per entity, tombstones excluded); they are the parity
-oracle for migrations, recovery, and the property tests, and the
-``as_of`` time-travel reads in :mod:`repro.versioning.timetravel` are
-the same query with a ``commit_id <= ?`` pin.
+oracle for migrations, recovery, and the property tests.  The
+whole-state ``as_of`` reads in :mod:`repro.versioning.timetravel` are
+the same query with a ``commit_id <= ?`` pin; the entity-addressed ones
+(one annotation, one tuple, one row's edges) search the history through
+``_nebula_attachment_history_by_target`` and the two ``…_by_entity``
+indexes instead, so their cost follows the entity's history, not the
+log's.
 """
 
 from __future__ import annotations

@@ -2,16 +2,41 @@
 
 Every function takes ``as_of`` — a commit id — and reconstructs the
 annotation / attachment state that existed *after* that commit was
-applied, purely from the history tables: the latest ``history_id`` per
-entity among versions with ``commit_id <= as_of``, tombstones excluded.
+applied, purely from the history tables.  An entity's *visible* version
+at the pin is its latest ``history_id`` among versions with
+``commit_id <= as_of``, unless that version is a ``delete`` tombstone.
 Because history rows are append-only, the result of any pinned read is
 immutable no matter how many commits a concurrent writer adds — which
 is exactly the snapshot-consistency guarantee the service readers rely
 on.
 
-The SQL here deliberately mirrors the head-state queries in
-:mod:`repro.annotations.store`; :class:`~repro.annotations.store.AnnotationStore`
-delegates to this module whenever a read carries ``as_of``.
+The statements come in two forms:
+
+* **Entity-addressed reads** — one annotation, one annotation's edges,
+  the edges on one row, a tuple's annotations, and the pending tasks —
+  work from the requested entity.  Every history row matching the key
+  is a candidate, and a candidate is kept when it is its entity's
+  visible version: ``history_id = (SELECT MAX(history_id) ... WHERE
+  <id> = h.<id> AND commit_id <= :pin)``, found through the
+  ``…_by_entity`` index.  The key itself comes through
+  ``_nebula_attachment_history_by_target`` or the entity id, so the
+  read costs the entity's history, not the log's.  Two keys have no
+  index — an annotation's edges (no index leads with ``annotation_id``)
+  and range edges — and take one pass over the attachment history.
+  These statements bind their parameters by name (``:pin``, ``:table``,
+  ``:rowid``, …), so one value fills every slot.
+* **Whole-state reads** — the counts, the full annotation listing, a
+  whole-table attachment listing, the true pairs of the historical ACG,
+  :func:`state_fingerprint` and the content search — read most of the
+  log anyway.  They use the view form, :data:`ANNOTATIONS_AS_OF` and
+  :data:`ATTACHMENTS_AS_OF`: the ``*_current`` views with a
+  ``commit_id <= ?`` pin, one ``GROUP BY`` over the history.  The view
+  form is also the reference the entity-addressed statements are
+  tested against.
+
+The head-state queries live in :mod:`repro.annotations.store`;
+:class:`~repro.annotations.store.AnnotationStore` delegates to this
+module whenever a read carries ``as_of``.
 """
 
 from __future__ import annotations
@@ -26,6 +51,10 @@ _ATTACHMENT_COLUMNS = (
     "attachment_id, annotation_id, target_table, target_rowid, "
     "target_rowid_hi, target_column, confidence, kind"
 )
+
+# ----------------------------------------------------------------------
+# The view form: whole-state reads, and the reference for the rest
+# ----------------------------------------------------------------------
 
 #: Table expression of the annotations visible at commit ``?``.
 ANNOTATIONS_AS_OF = (
@@ -55,11 +84,6 @@ ATTACHMENTS_AS_OF = (
 
 # Full statements (literal constants: NBL001-safe by construction).
 
-_GET_ANNOTATION = (
-    "SELECT " + _ANNOTATION_COLUMNS + " FROM " + ANNOTATIONS_AS_OF + " "
-    "WHERE annotation_id = ?"
-)
-
 _ITER_ANNOTATIONS = (
     "SELECT " + _ANNOTATION_COLUMNS + " FROM " + ANNOTATIONS_AS_OF + " "
     "ORDER BY created_seq"
@@ -67,19 +91,9 @@ _ITER_ANNOTATIONS = (
 
 _COUNT_ANNOTATIONS = "SELECT COUNT(*) FROM " + ANNOTATIONS_AS_OF
 
-_ATTACHMENTS_OF = (
-    "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + ATTACHMENTS_AS_OF + " "
-    "WHERE annotation_id = ? ORDER BY attachment_id"
-)
-
-_ATTACHMENTS_ON_PREFIX = (
+_ATTACHMENTS_ON_TABLE = (
     "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + ATTACHMENTS_AS_OF + " "
     "WHERE target_table = ?"
-)
-
-_ROW_FILTER = (
-    " AND (target_rowid IS NULL OR (target_rowid <= ? "
-    "AND ? <= COALESCE(target_rowid_hi, target_rowid)))"
 )
 
 _COLUMN_FILTER = " AND (target_column = ? OR target_column IS NULL)"
@@ -98,12 +112,8 @@ _COUNT_ATTACHMENTS_BY_KIND = (
     "SELECT COUNT(*) FROM " + ATTACHMENTS_AS_OF + " WHERE kind = ?"
 )
 
-# Service-layer read statements.  Composed here — where every piece is
-# a local literal, so NBL001 can prove them safe by construction — and
-# imported whole by :mod:`repro.service.service` for its ``as_of`` read
-# endpoints.
-
-#: ``find_annotations(needle, limit, as_of)``: params (as_of, needle, limit).
+#: ``find_annotations(needle, limit, as_of)`` (service): params
+#: (as_of, needle, limit).  A ``LIKE`` over every visible annotation.
 FIND_ANNOTATIONS_AS_OF = (
     "SELECT annotation_id, content, author "
     "FROM " + ANNOTATIONS_AS_OF + " "
@@ -111,26 +121,107 @@ FIND_ANNOTATIONS_AS_OF = (
     "ORDER BY annotation_id DESC LIMIT ?"
 )
 
-#: ``annotations_for(table, rowid, as_of)``: params (as_of, as_of, table, rowid).
-ANNOTATIONS_FOR_TUPLE_AS_OF = (
-    "SELECT a.annotation_id, a.content, t.confidence, t.kind "
-    "FROM " + ANNOTATIONS_AS_OF + " AS a "
-    "JOIN " + ATTACHMENTS_AS_OF + " AS t "
-    "ON t.annotation_id = a.annotation_id "
-    "WHERE t.target_table = ? AND t.target_rowid = ? "
-    "ORDER BY t.confidence DESC, a.annotation_id"
+# ----------------------------------------------------------------------
+# Entity-addressed statements (named parameters)
+# ----------------------------------------------------------------------
+
+#: ``history_id`` of an annotation's latest version at or before
+#: ``:pin``, through ``_nebula_annotation_history_by_entity``; the
+#: caller closes it with the id to look up and ``)``.
+_ANNOTATION_VERSION = (
+    "(SELECT MAX(history_id) FROM _nebula_annotation_history "
+    "WHERE commit_id <= :pin AND annotation_id = "
 )
 
-#: ``pending_verifications(limit, as_of)``: params (as_of, limit).  The
-#: one statement here touching operational state: the task table is not
-#: versioned, so the honest ``as_of`` approximation restricts pending
-#: tasks to annotations *visible* at the pin.
+#: Keeps the candidate attachment version ``h`` that is its entity's
+#: visible version at ``:pin`` (the subquery searches
+#: ``_nebula_attachment_history_by_entity``).  ``h.commit_id <= :pin``
+#: drops later versions before the subquery runs.
+_VISIBLE_ATTACHMENT = (
+    " AND h.commit_id <= :pin AND h.op <> 'delete' AND h.history_id = "
+    "(SELECT MAX(history_id) FROM _nebula_attachment_history "
+    "WHERE attachment_id = h.attachment_id AND commit_id <= :pin)"
+)
+
+_H_ATTACHMENT_COLUMNS = (
+    "h.attachment_id, h.annotation_id, h.target_table, h.target_rowid, "
+    "h.target_rowid_hi, h.target_column, h.confidence, h.kind"
+)
+
+#: The head's column filter; a ``:column`` of NULL matches every edge.
+_COLUMN_MATCH = (
+    " AND (:column IS NULL OR h.target_column = :column "
+    "OR h.target_column IS NULL)"
+)
+
+_GET_ANNOTATION = (
+    "SELECT " + _ANNOTATION_COLUMNS + " FROM _nebula_annotation_history "
+    "WHERE history_id = " + _ANNOTATION_VERSION + ":annotation_id) "
+    "AND op <> 'delete'"
+)
+
+#: No index leads with ``annotation_id``: one pass over the attachment
+#: history (left to itself the planner walks ``…_by_entity`` for the
+#: order and reads every row through it, about twice as slow).
+_ATTACHMENTS_OF = (
+    "SELECT " + _H_ATTACHMENT_COLUMNS + " "
+    "FROM _nebula_attachment_history AS h NOT INDEXED "
+    "WHERE h.annotation_id = :annotation_id" + _VISIBLE_ATTACHMENT + " "
+    "ORDER BY h.attachment_id"
+)
+
+#: Row-filtered ``attachments_on``, the keys with an index: edges on
+#: exactly ``:rowid`` and table-level edges (``target_rowid IS NULL``,
+#: which apply to every row), both through
+#: ``_nebula_attachment_history_by_target``.
+_ATTACHMENTS_ON_ROW_KEYS = (
+    "SELECT " + _H_ATTACHMENT_COLUMNS + " FROM _nebula_attachment_history AS h "
+    "WHERE h.target_table = :table AND h.target_rowid = :rowid "
+    "AND h.target_rowid_hi IS NULL" + _VISIBLE_ATTACHMENT + _COLUMN_MATCH + " "
+    "UNION ALL "
+    "SELECT " + _H_ATTACHMENT_COLUMNS + " FROM _nebula_attachment_history AS h "
+    "WHERE h.target_table = :table AND h.target_rowid IS NULL"
+    + _VISIBLE_ATTACHMENT + _COLUMN_MATCH
+)
+
+#: Row-filtered ``attachments_on``, range edges covering ``:rowid``.  No
+#: index covers a range, so this is one pass over the attachment history
+#: (a ``_by_target`` search on ``target_rowid <= :rowid`` would read every
+#: edge below the row through the index: three times the pass for a row
+#: past mid-table).
+_ATTACHMENTS_ON_ROW_RANGES = (
+    "SELECT " + _H_ATTACHMENT_COLUMNS + " "
+    "FROM _nebula_attachment_history AS h NOT INDEXED "
+    "WHERE h.target_rowid_hi IS NOT NULL AND h.target_table = :table "
+    "AND h.target_rowid <= :rowid AND :rowid <= h.target_rowid_hi"
+    + _VISIBLE_ATTACHMENT + _COLUMN_MATCH
+)
+
+#: ``annotations_for(table, rowid, as_of)`` (service): params ``pin``,
+#: ``table``, ``rowid``.  Edges on the tuple through ``_by_target``,
+#: then each edge's annotation at its visible version.
+ANNOTATIONS_FOR_TUPLE_AS_OF = (
+    "SELECT a.annotation_id, a.content, h.confidence, h.kind "
+    "FROM _nebula_attachment_history AS h "
+    "JOIN _nebula_annotation_history AS a "
+    "ON a.history_id = " + _ANNOTATION_VERSION + "h.annotation_id) "
+    "WHERE h.target_table = :table AND h.target_rowid = :rowid"
+    + _VISIBLE_ATTACHMENT + " AND a.op <> 'delete' "
+    "ORDER BY h.confidence DESC, a.annotation_id"
+)
+
+#: ``pending_verifications(limit, as_of)`` (service): params ``pin``,
+#: ``limit``.  The one statement here touching operational state: the
+#: task table is not versioned, so the honest ``as_of`` approximation
+#: restricts pending tasks to annotations *visible* at the pin, checked
+#: per task.
 PENDING_TASKS_AS_OF = (
     "SELECT task_id, annotation_id, target_table, target_rowid, confidence "
-    "FROM _nebula_verification_tasks WHERE status = 'pending' "
-    "AND annotation_id IN "
-    "(SELECT annotation_id FROM " + ANNOTATIONS_AS_OF + ") "
-    "ORDER BY confidence DESC, task_id LIMIT ?"
+    "FROM _nebula_verification_tasks AS v WHERE status = 'pending' "
+    "AND EXISTS (SELECT 1 FROM _nebula_annotation_history AS a "
+    "WHERE a.history_id = " + _ANNOTATION_VERSION + "v.annotation_id) "
+    "AND a.op <> 'delete') "
+    "ORDER BY confidence DESC, task_id LIMIT :limit"
 )
 
 _ANNOTATION_HISTORY = (
@@ -155,7 +246,9 @@ def get_annotation_row(
     connection: Connection, annotation_id: int, as_of: int
 ) -> Optional[Sequence]:
     """The annotation row visible at ``as_of``, or None."""
-    return connection.execute(_GET_ANNOTATION, (as_of, annotation_id)).fetchone()
+    return connection.execute(
+        _GET_ANNOTATION, {"pin": as_of, "annotation_id": annotation_id}
+    ).fetchone()
 
 
 def iter_annotation_rows(connection: Connection, as_of: int) -> List[Sequence]:
@@ -171,7 +264,9 @@ def attachments_of_rows(
     connection: Connection, annotation_id: int, as_of: int
 ) -> List[Sequence]:
     """Attachment rows of one annotation visible at ``as_of``."""
-    return connection.execute(_ATTACHMENTS_OF, (as_of, annotation_id)).fetchall()
+    return connection.execute(
+        _ATTACHMENTS_OF, {"pin": as_of, "annotation_id": annotation_id}
+    ).fetchall()
 
 
 def attachments_on_rows(
@@ -184,18 +279,22 @@ def attachments_on_rows(
     """Attachment rows touching a target, visible at ``as_of``.
 
     Matches the head query's semantics: row-level queries also return
-    column- and table-level attachments (they apply to every row).
+    column- and table-level attachments (they apply to every row).  A
+    row-level query reads the indexed keys and the range edges in two
+    statements whose rows are disjoint; a whole-table listing keeps the
+    view form.
     """
-    sql = _ATTACHMENTS_ON_PREFIX
-    params: List[object] = [as_of, table]
-    if rowid is not None:
-        sql += _ROW_FILTER
-        params.extend([rowid, rowid])
-    if column is not None:
-        sql += _COLUMN_FILTER
-        params.append(column)
-    sql += _ORDER_BY_ATTACHMENT
-    return connection.execute(sql, params).fetchall()
+    if rowid is None:
+        sql = _ATTACHMENTS_ON_TABLE
+        params: List[object] = [as_of, table]
+        if column is not None:
+            sql += _COLUMN_FILTER
+            params.append(column)
+        return connection.execute(sql + _ORDER_BY_ATTACHMENT, params).fetchall()
+    named = {"pin": as_of, "table": table, "rowid": rowid, "column": column}
+    rows = connection.execute(_ATTACHMENTS_ON_ROW_KEYS, named).fetchall()
+    rows += connection.execute(_ATTACHMENTS_ON_ROW_RANGES, named).fetchall()
+    return sorted(rows, key=lambda row: row[0])
 
 
 def true_pair_rows(connection: Connection, as_of: int) -> List[Sequence]:

@@ -285,6 +285,21 @@ class TestBootstrap:
         assert len(samples[0]["Gene.GID"]) == 50
         assert samples[0] == samples[1]
 
+    def test_bootstrap_reads_each_table_schema_once(self):
+        # Figure 1's concepts refer to three columns of each table.
+        connection = build_figure1_connection()
+        meta = build_figure1_meta()
+        statements = []
+        connection.set_trace_callback(statements.append)
+        try:
+            meta.bootstrap_from_connection(connection)
+        finally:
+            connection.set_trace_callback(None)
+        pragmas = [s for s in statements if s.startswith("PRAGMA table_info")]
+        assert len(pragmas) == 2
+        assert {p.split("(")[1].strip('")') for p in pragmas} == {"Gene", "Protein"}
+        assert sum(s.startswith("SELECT DISTINCT") for s in statements) == 6
+
     def test_bootstrap_rejects_unknown_column(self):
         connection = build_figure1_connection()
         meta = NebulaMeta()

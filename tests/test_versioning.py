@@ -20,6 +20,7 @@ from repro.core.verification import VerificationQueue
 from repro.datagen.biodb import BioDatabaseSpec
 from repro.errors import (
     MigrationError,
+    UnknownAnnotationError,
     UnknownCommitError,
     VersioningError,
 )
@@ -253,6 +254,156 @@ class TestHeadParity:
 # Time travel: the core property
 # ----------------------------------------------------------------------
 
+#: The annotatable tables of the Figure-1 world and their row counts.
+_TABLE_ROWS = (("Gene", 7), ("Protein", 3))
+
+#: A column of each table for cell and column-level edges.
+_COLUMNS = {"Gene": "Family", "Protein": "PType"}
+
+#: The service's head tuple read (``AnnotationService.annotations_for``).
+_HEAD_TUPLE_READ = (
+    "SELECT a.annotation_id, a.content, t.confidence, t.kind "
+    "FROM _nebula_annotations a JOIN _nebula_attachments t "
+    "ON t.annotation_id = a.annotation_id "
+    "WHERE t.target_table = ? AND t.target_rowid = ? "
+    "ORDER BY t.confidence DESC, a.annotation_id"
+)
+
+_ATTACHMENT_COLUMNS = (
+    "attachment_id, annotation_id, target_table, target_rowid, "
+    "target_rowid_hi, target_column, confidence, kind"
+)
+
+#: View-form references of the entity-addressed ``as_of`` statements:
+#: the ``*_current`` reconstruction pinned to a commit, then filtered.
+_REFERENCE_GET_ANNOTATION = (
+    "SELECT annotation_id, content, author, created_seq "
+    "FROM " + timetravel.ANNOTATIONS_AS_OF + " WHERE annotation_id = ?"
+)
+_REFERENCE_ATTACHMENTS_OF = (
+    "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + timetravel.ATTACHMENTS_AS_OF
+    + " WHERE annotation_id = ? ORDER BY attachment_id"
+)
+_REFERENCE_ATTACHMENTS_ON_ROW = (
+    "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + timetravel.ATTACHMENTS_AS_OF
+    + " WHERE target_table = ? AND (target_rowid IS NULL OR (target_rowid <= ? "
+    "AND ? <= COALESCE(target_rowid_hi, target_rowid))) "
+    "AND (? IS NULL OR target_column = ? OR target_column IS NULL) "
+    "ORDER BY attachment_id"
+)
+_REFERENCE_TUPLE_READ = (
+    "SELECT a.annotation_id, a.content, t.confidence, t.kind "
+    "FROM " + timetravel.ANNOTATIONS_AS_OF + " AS a "
+    "JOIN " + timetravel.ATTACHMENTS_AS_OF + " AS t "
+    "ON t.annotation_id = a.annotation_id "
+    "WHERE t.target_table = ? AND t.target_rowid = ? "
+    "ORDER BY t.confidence DESC, a.annotation_id"
+)
+_REFERENCE_PENDING_TASKS = (
+    "SELECT task_id, annotation_id, target_table, target_rowid, confidence "
+    "FROM _nebula_verification_tasks WHERE status = 'pending' "
+    "AND annotation_id IN (SELECT annotation_id FROM "
+    + timetravel.ANNOTATIONS_AS_OF + ") "
+    "ORDER BY confidence DESC, task_id LIMIT ?"
+)
+
+
+#: Annotation ids the reads probe: every id the 80-step sequence can
+#: create, so early commits also probe ids not yet inserted.
+_ANNOTATION_PROBES = range(1, 82)
+
+
+def _entity_reads(store, as_of=None):
+    """Every entity-addressed read of the world, at the head or a pin."""
+    connection = store.connection
+    found = {}
+    for annotation_id in _ANNOTATION_PROBES:
+        try:
+            found[annotation_id] = store.get_annotation(annotation_id, as_of=as_of)
+        except UnknownAnnotationError:
+            found[annotation_id] = None
+    answers = {
+        "get_annotation": found,
+        "attachments_of": [
+            store.attachments_of(i, as_of=as_of) for i in _ANNOTATION_PROBES
+        ],
+    }
+    for table, rows in _TABLE_ROWS:
+        column = _COLUMNS[table]
+        answers[table] = store.attachments_on(table, as_of=as_of)
+        for rowid in range(1, rows + 1):
+            if as_of is None:
+                tuple_read = connection.execute(
+                    _HEAD_TUPLE_READ, (table, rowid)
+                ).fetchall()
+            else:
+                tuple_read = connection.execute(
+                    timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF,
+                    {"pin": as_of, "table": table, "rowid": rowid},
+                ).fetchall()
+            answers[(table, rowid)] = (
+                store.attachments_on(table, rowid, as_of=as_of),
+                store.attachments_on(table, rowid, column, as_of=as_of),
+                tuple_read,
+            )
+    return answers
+
+
+def _seed_tasks(connection, annotation_ids, rng):
+    """Verification tasks on ``annotation_ids``, some already decided."""
+    connection.executemany(
+        "INSERT INTO _nebula_verification_tasks (annotation_id, target_table, "
+        "target_rowid, confidence, evidence, status) "
+        "VALUES (?, 'Gene', ?, ?, 'e', ?)",
+        [
+            (
+                annotation_id,
+                rng.randint(1, 7),
+                round(rng.uniform(0.1, 0.9), 1),
+                rng.choice(["pending", "pending", "verified"]),
+            )
+            for annotation_id in annotation_ids
+            for _ in range(2)
+        ],
+    )
+
+
+def _assert_matches_view_form(connection, pin):
+    """Each entity-addressed statement equals its view-form reference."""
+    for annotation_id in _ANNOTATION_PROBES:
+        assert timetravel.get_annotation_row(
+            connection, annotation_id, pin
+        ) == connection.execute(
+            _REFERENCE_GET_ANNOTATION, (pin, annotation_id)
+        ).fetchone()
+        assert timetravel.attachments_of_rows(
+            connection, annotation_id, pin
+        ) == connection.execute(
+            _REFERENCE_ATTACHMENTS_OF, (pin, annotation_id)
+        ).fetchall()
+    for table, rows in _TABLE_ROWS:
+        for rowid in range(1, rows + 1):
+            for column in (None, _COLUMNS[table]):
+                assert timetravel.attachments_on_rows(
+                    connection, table, pin, rowid=rowid, column=column
+                ) == connection.execute(
+                    _REFERENCE_ATTACHMENTS_ON_ROW,
+                    (pin, table, rowid, rowid, column, column),
+                ).fetchall(), (pin, table, rowid, column)
+            assert connection.execute(
+                timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF,
+                {"pin": pin, "table": table, "rowid": rowid},
+            ).fetchall() == connection.execute(
+                _REFERENCE_TUPLE_READ, (pin, pin, table, rowid)
+            ).fetchall()
+    for limit in (-1, 3):
+        assert connection.execute(
+            timetravel.PENDING_TASKS_AS_OF, {"pin": pin, "limit": limit}
+        ).fetchall() == connection.execute(
+            _REFERENCE_PENDING_TASKS, (pin, limit)
+        ).fetchall()
+
+
 
 class TestTimeTravel:
     def test_as_of_reads_pin_history(self, store, log):
@@ -276,37 +427,120 @@ class TestTimeTravel:
             is None
         )
 
+    def test_pinned_reads_search_the_requested_entity(self, store, log):
+        """A pinned read of one tuple, one annotation or one row's keyed
+        edges reaches the history through ``_by_target`` / ``_by_entity``
+        and never scans a history table, so its cost follows the entity's
+        history rather than the log's."""
+        a = store.insert_annotation("pinned")
+        store.attach(a.annotation_id, CellRef("Gene", 2))
+        store.attach(a.annotation_id, CellRef("Gene", None))
+        pin = log.head()
+        connection = store.connection
+        params = {
+            "pin": pin,
+            "table": "Gene",
+            "rowid": 2,
+            "annotation_id": a.annotation_id,
+            "column": None,
+        }
+
+        def traced(read):
+            statements = []
+            connection.set_trace_callback(statements.append)
+            try:
+                read()
+            finally:
+                connection.set_trace_callback(None)
+            return statements
+
+        def plan(sql):
+            # A traced statement shows either the bound values inline or
+            # the named parameters; bind them for the latter.
+            return [
+                str(row[3])
+                for row in connection.execute("EXPLAIN QUERY PLAN " + sql, params)
+            ]
+
+        def assert_searches(sql, index):
+            lines = plan(sql)
+            assert any(
+                line.startswith("SEARCH") and index in line for line in lines
+            ), lines
+            assert not [line for line in lines if line.startswith("SCAN")], lines
+            return lines
+
+        (annotation_read,) = traced(
+            lambda: timetravel.get_annotation_row(connection, a.annotation_id, pin)
+        )
+        assert_searches(annotation_read, "_nebula_annotation_history_by_entity")
+        # A row-filtered attachments_on reads its exact-row and table-level
+        # keys in one statement, then the range edges in a pass of their
+        # own: no index covers a range.
+        keyed, _range_pass = traced(
+            lambda: timetravel.attachments_on_rows(connection, "Gene", pin, rowid=2)
+        )
+        lines = assert_searches(keyed, "_nebula_attachment_history_by_entity")
+        keys = [line for line in lines if "_nebula_attachment_history_by_target" in line]
+        assert len(keys) == 2, lines
+        assert_searches(
+            timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF,
+            "_nebula_attachment_history_by_target",
+        )
+
     def test_every_commit_reproduces_historical_state(self, store, log):
         """The acceptance property: ``as_of=<every commit id>`` exactly
         reproduces the state captured right after that commit, under a
-        randomized mutation sequence."""
+        randomized mutation sequence of row, cell, column-level,
+        table-level and range edges.  Both whole-state fingerprints and
+        every entity-addressed read (one annotation, its edges, the edges
+        on a row / a cell / a table, the service's tuple read) must
+        reproduce the head's answers; at random pins each entity-addressed
+        statement must also equal its view-form reference."""
         rng = random.Random(1234)
+        connection = store.connection
         edges = []
         annotations = []
         captured = {}  # commit id -> head fingerprint at that moment
+        reads = {}  # commit id -> the head's entity-addressed answers
 
         def checkpoint():
-            captured[log.head()] = timetravel.head_fingerprint(store.connection)
+            captured[log.head()] = timetravel.head_fingerprint(connection)
+            reads[log.head()] = _entity_reads(store)
 
-        for step in range(60):
+        for step in range(80):
             op = rng.random()
-            if op < 0.45 or not annotations:
+            table, rows = rng.choice(_TABLE_ROWS)
+            if op < 0.35 or not annotations:
                 a = store.insert_annotation(f"note {step}", author=f"u{step % 3}")
                 annotations.append(a.annotation_id)
-            elif op < 0.75:
+            elif op < 0.6:
                 kind = (
                     AttachmentKind.TRUE if rng.random() < 0.5
                     else AttachmentKind.PREDICTED
                 )
                 confidence = 1.0 if kind is AttachmentKind.TRUE else rng.uniform(0.1, 0.9)
+                # Row, cell, column-level and table-level targets.
+                rowid = rng.choice([rng.randint(1, rows), rng.randint(1, rows), None])
+                column = rng.choice([None, None, _COLUMNS[table]])
                 edge = store.attach(
                     rng.choice(annotations),
-                    CellRef("Gene", rng.randint(1, 7)),
+                    CellRef(table, rowid, column),
                     confidence=confidence,
                     kind=kind,
                 )
                 edges.append(edge.attachment_id)
-            elif op < 0.9 and edges:
+            elif op < 0.72:
+                low = rng.randint(1, rows - 1)
+                edge = store.attach_range(
+                    rng.choice(annotations),
+                    table,
+                    low,
+                    rng.randint(low + 1, rows),
+                    column=rng.choice([None, _COLUMNS[table]]),
+                )
+                edges.append(edge.attachment_id)
+            elif op < 0.86 and edges:
                 store.promote(rng.choice(edges))
             elif edges:
                 victim = rng.choice(edges)
@@ -314,17 +548,27 @@ class TestTimeTravel:
                 edges.remove(victim)
             checkpoint()
 
-        assert len(captured) >= 50
+        assert len(captured) >= 70
         # Every commit ever made is represented (auto commits: 1 per op).
         all_commits = {c.commit_id for c in log.commits()}
         assert set(captured) <= all_commits
         for commit_id, expected in captured.items():
             assert (
-                timetravel.state_fingerprint(store.connection, as_of=commit_id)
+                timetravel.state_fingerprint(connection, as_of=commit_id)
                 == expected
             ), f"as_of={commit_id} diverged from the captured state"
+            assert _entity_reads(store, as_of=commit_id) == reads[
+                commit_id
+            ], f"an entity-addressed read at as_of={commit_id} diverged"
         # And the log still agrees with the final head.
         assert log.verify_head() is True
+
+        # The pending-task listing reads the task table as it is now, so
+        # only the view-form reference can check it at a pin.
+        _seed_tasks(connection, annotations + [max(annotations) + 1], rng)
+        pins = [0] + rng.sample(sorted(captured), 20)
+        for pin in pins:
+            _assert_matches_view_form(connection, pin)
 
     def test_engine_pipeline_commits_reproduce_history(self, figure1_backend, figure1_db):
         """Same property through the full pipeline: ingest + verify +
