@@ -530,11 +530,14 @@ class AnnotationStore:
         ).fetchall()
         return [_row_to_attachment(r) for r in rows]
 
-    def true_attachment_pairs(
+    def true_attachment_rows(
         self, as_of: Optional[int] = None
-    ) -> List[Tuple[int, TupleRef]]:
-        """All (annotation_id, TupleRef) pairs of true row/cell attachments.
+    ) -> List[Tuple[int, str, int]]:
+        """``(annotation_id, table, rowid)`` of every true row/cell
+        attachment, in attachment order.
 
+        The one read of the true edges: the ACG's builder and
+        :meth:`true_attachment_pairs` both take their rows from here.
         Range attachments (the compact representation) are expanded
         against the rows currently present in the target table (user
         data tables are not versioned — only the annotation layer is).
@@ -547,21 +550,28 @@ class AnnotationStore:
                 "FROM _nebula_attachments "
                 "WHERE kind = 'true' AND target_rowid IS NOT NULL ORDER BY attachment_id"
             ).fetchall()
-        pairs: List[Tuple[int, TupleRef]] = []
+        triples: List[Tuple[int, str, int]] = []
         for annotation_id, table, rowid, rowid_hi in rows:
             if rowid_hi is None:
-                pairs.append((int(annotation_id), TupleRef(str(table), int(rowid))))
+                triples.append((annotation_id, table, rowid))
                 continue
             expanded = self.connection.execute(
-                f"SELECT rowid FROM {quote_identifier(str(table))} "
+                f"SELECT rowid FROM {quote_identifier(table)} "
                 "WHERE rowid BETWEEN ? AND ? ORDER BY rowid",
-                (int(rowid), int(rowid_hi)),
+                (rowid, rowid_hi),
             ).fetchall()
-            pairs.extend(
-                (int(annotation_id), TupleRef(str(table), int(r[0])))
-                for r in expanded
-            )
-        return pairs
+            triples.extend((annotation_id, table, row[0]) for row in expanded)
+        return triples
+
+    def true_attachment_pairs(
+        self, as_of: Optional[int] = None
+    ) -> List[Tuple[int, TupleRef]]:
+        """All (annotation_id, TupleRef) pairs of true row/cell
+        attachments: :meth:`true_attachment_rows` as tuple references."""
+        return [
+            (annotation_id, TupleRef(table, rowid))
+            for annotation_id, table, rowid in self.true_attachment_rows(as_of)
+        ]
 
     def count_attachments(
         self,

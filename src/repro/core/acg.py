@@ -18,7 +18,6 @@ The module also hosts the two bookkeeping structures built on the ACG:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -31,9 +30,19 @@ UNREACHABLE = -1
 
 
 class AnnotationsConnectivityGraph:
-    """Incremental co-annotation graph over tuples."""
+    """Co-annotation graph over tuples: built at once, then kept
+    incrementally.
+
+    The graph holds one object per tuple.  Its node table maps a tuple to
+    that object, and the annotation sets, tuple sets and adjacency all
+    store it, so a set operation that meets a tuple twice settles the
+    comparison by identity instead of running ``TupleRef.__eq__``.  The
+    node table's keys are ``_annotations_of``'s: a tuple belongs to the
+    graph while it has at least one annotation.
+    """
 
     def __init__(self) -> None:
+        self._nodes: Dict[TupleRef, TupleRef] = {}
         self._annotations_of: Dict[TupleRef, Set[int]] = {}
         self._tuples_of: Dict[int, Set[TupleRef]] = {}
         self._adjacency: Dict[TupleRef, Set[TupleRef]] = {}
@@ -52,26 +61,78 @@ class AnnotationsConnectivityGraph:
         """Build at once from all true attachments in the store (§8.1:
         "The ACG is built at once and not in an incremental fashion").
 
+        One pass over the store's ``(annotation_id, table, rowid)`` rows
+        makes one object per distinct tuple and fills both bipartite
+        maps.  A tuple's neighbours are then the union of the tuple sets
+        of its annotations, less itself.  The result equals folding
+        :meth:`add_attachment` over the store's
+        ``true_attachment_pairs``.
+
         With ``as_of`` the graph is reconstructed from the commit log —
         the exact co-annotation topology that existed at that commit,
         which lets candidate scoring replay a historical graph.
         """
         graph = cls()
-        for annotation_id, ref in manager.store.true_attachment_pairs(as_of=as_of):
-            graph.add_attachment(annotation_id, ref)
+        nodes: Dict[Tuple[str, int], TupleRef] = {}
+        annotations_by_key: Dict[Tuple[str, int], Set[int]] = {}
+        tuples_of = graph._tuples_of
+        for annotation_id, table, rowid in manager.store.true_attachment_rows(as_of):
+            key = (table, rowid)
+            ref = nodes.get(key)
+            if ref is None:
+                ref = nodes[key] = TupleRef(table, rowid)
+                annotations_by_key[key] = {annotation_id}
+            else:
+                annotations_by_key[key].add(annotation_id)
+            members = tuples_of.get(annotation_id)
+            if members is None:
+                tuples_of[annotation_id] = {ref}
+            else:
+                members.add(ref)
+        for key, annotation_ids in annotations_by_key.items():
+            ref = nodes[key]
+            graph._nodes[ref] = ref
+            graph._annotations_of[ref] = annotation_ids
+            neighbors: Set[TupleRef] = set()
+            for annotation_id in annotation_ids:
+                members = tuples_of[annotation_id]
+                if len(members) > 1:
+                    neighbors |= members
+            if neighbors:
+                neighbors.discard(ref)
+                graph._adjacency[ref] = neighbors
+        graph._edge_count = sum(map(len, graph._adjacency.values())) // 2
         return graph
+
+    def adopt(self, other: "AnnotationsConnectivityGraph") -> None:
+        """Take over ``other``'s contents in place; ``other`` is spent.
+
+        Whoever shares this graph (the verification queue shares the
+        engine's) sees the new contents without being re-pointed.
+        """
+        self._nodes = other._nodes
+        self._annotations_of = other._annotations_of
+        self._tuples_of = other._tuples_of
+        self._adjacency = other._adjacency
+        self._edge_count = other._edge_count
 
     def add_attachment(self, annotation_id: int, ref: TupleRef) -> int:
         """Record one attachment; returns the number of *new* ACG edges."""
+        node = self._nodes.setdefault(ref, ref)
         siblings = self._tuples_of.setdefault(annotation_id, set())
-        if ref in siblings:
+        if node in siblings:
             return 0
-        self._annotations_of.setdefault(ref, set()).add(annotation_id)
+        self._annotations_of.setdefault(node, set()).add(annotation_id)
         new_edges = 0
-        for sibling in siblings:
-            if self._add_edge(ref, sibling):
-                new_edges += 1
-        siblings.add(ref)
+        if siblings:
+            neighbors = self._adjacency.setdefault(node, set())
+            for sibling in siblings:
+                if sibling not in neighbors:
+                    neighbors.add(sibling)
+                    self._adjacency.setdefault(sibling, set()).add(node)
+                    new_edges += 1
+            self._edge_count += new_edges
+        siblings.add(node)
         return new_edges
 
     def remove_annotation(self, annotation_id: int) -> int:
@@ -82,6 +143,8 @@ class AnnotationsConnectivityGraph:
         in-memory graph after the persistent Stage 0 writes roll back.
         An edge survives only while the two tuples still share at least
         one *other* annotation (the live-set semantics of :meth:`weight`).
+        A tuple left with no annotation leaves the graph and its node
+        table.
         """
         refs = self._tuples_of.pop(annotation_id, set())
         for ref in refs:
@@ -101,20 +164,10 @@ class AnnotationsConnectivityGraph:
         for ref in refs:
             if not self._annotations_of.get(ref):
                 self._annotations_of.pop(ref, None)
+                self._nodes.pop(ref, None)
             if not self._adjacency.get(ref):
                 self._adjacency.pop(ref, None)
         return removed
-
-    def _add_edge(self, a: TupleRef, b: TupleRef) -> bool:
-        if a == b:
-            return False
-        neighbors = self._adjacency.setdefault(a, set())
-        if b in neighbors:
-            return False
-        neighbors.add(b)
-        self._adjacency.setdefault(b, set()).add(a)
-        self._edge_count += 1
-        return True
 
     # ------------------------------------------------------------------
     # Topology
@@ -155,25 +208,29 @@ class AnnotationsConnectivityGraph:
     # Traversals
     # ------------------------------------------------------------------
 
+    def _nodes_among(self, refs: Iterable[TupleRef]) -> Set[TupleRef]:
+        """The graph's own objects for those of ``refs`` it holds."""
+        return {node for node in map(self._nodes.get, refs) if node is not None}
+
     def k_hop_neighbors(
         self, seeds: Iterable[TupleRef], k: int, include_seeds: bool = True
     ) -> FrozenSet[TupleRef]:
         """All tuples within ``k`` hops of any seed (BFS, unweighted)."""
-        seeds = [s for s in seeds if s in self._annotations_of]
-        visited: Dict[TupleRef, int] = {s: 0 for s in seeds}
-        queue = deque(seeds)
-        while queue:
-            current = queue.popleft()
-            depth = visited[current]
-            if depth >= k:
-                continue
-            for neighbor in self._adjacency.get(current, ()):
-                if neighbor not in visited:
-                    visited[neighbor] = depth + 1
-                    queue.append(neighbor)
+        start = self._nodes_among(seeds)
+        visited = set(start)
+        frontier = start
+        for _ in range(k):
+            reached: Set[TupleRef] = set()
+            for node in frontier:
+                reached.update(self._adjacency.get(node, ()))
+            reached -= visited
+            if not reached:
+                break
+            visited |= reached
+            frontier = reached
         if include_seeds:
             return frozenset(visited)
-        return frozenset(v for v, d in visited.items() if d > 0)
+        return frozenset(visited - start)
 
     def shortest_hops(self, ref: TupleRef, seeds: Iterable[TupleRef]) -> int:
         """Shortest unweighted hop count from ``ref`` to any seed.
@@ -181,17 +238,19 @@ class AnnotationsConnectivityGraph:
         Returns 0 when ``ref`` is itself a seed, :data:`UNREACHABLE` when
         no path exists (or ``ref`` is not in the graph).
         """
-        seed_set = {s for s in seeds if s in self._annotations_of}
+        seed_set = self._nodes_among(seeds)
         if not seed_set:
             return UNREACHABLE
-        if ref in seed_set:
-            return 0
-        if ref not in self._annotations_of:
+        start = self._nodes.get(ref)
+        if start is None:
             return UNREACHABLE
+        if start in seed_set:
+            return 0
         # Level by level with set operations: they reuse the hashes the
-        # adjacency sets store instead of rehashing every visited tuple.
-        visited = {ref}
-        frontier = {ref}
+        # adjacency sets store, and the graph's one object per tuple
+        # settles every comparison by identity.
+        visited = {start}
+        frontier = {start}
         depth = 0
         while frontier:
             depth += 1

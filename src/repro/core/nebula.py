@@ -228,7 +228,7 @@ class Nebula:
             analysis_cache=self.analysis_cache,
             index=self.index,
         )
-        self.acg = AnnotationsConnectivityGraph.build_from_manager(self.manager)
+        self.acg = self._build_acg()
         self.profile = PersistentHopProfile(connection)
         self.stability = StabilityTracker(
             batch_size=self.config.batch_size, mu=self.config.stability_mu
@@ -240,6 +240,33 @@ class Nebula:
         self._searchable_tuple_count = count_searchable_tuples(
             connection, [table for table, _ in self._searchable_columns()]
         )
+
+    def _build_acg(self) -> AnnotationsConnectivityGraph:
+        """The ACG built at once from the store's true attachments; its
+        wall time lands in ``acg_build_seconds`` and the
+        ``nebula_acg_build_seconds`` gauge."""
+        started = time.perf_counter()
+        graph = AnnotationsConnectivityGraph.build_from_manager(self.manager)
+        self.acg_build_seconds = time.perf_counter() - started
+        self.metrics.gauge("nebula_acg_build_seconds").set(self.acg_build_seconds)
+        return graph
+
+    def resync(self) -> None:
+        """Make the engine's memory equal the database after it changed
+        behind the engine: a rollback the pipeline did not run, or a head
+        restored from the commit log (both in a service recovery).
+
+        Rebuilds the ACG in place (the verification queue shares it),
+        reloads the hop profile, drops the triage focal of every
+        annotation the database no longer holds, and clears the analysis
+        cache, whose ``acg.as_of`` entries are keyed by commit ids the
+        rollback freed for reuse.  The stability tracker lives only in
+        memory, so its window keeps what it counted.
+        """
+        self.acg.adopt(self._build_acg())
+        self.profile.reload()
+        self.queue.forget_missing()
+        self.analysis_cache.clear()
 
     def ensure_index_fresh(self) -> bool:
         """Revalidate the persisted search index against the live data.
@@ -824,8 +851,12 @@ class Nebula:
         The SAVEPOINT rollback restores the database (annotation rows,
         attachments, verification tasks, the hop-profile table); the
         in-memory ACG, hop profile, and triage bookkeeping are restored
-        to match.  The stability tracker is only updated on success, so
-        it needs no restore.
+        to match.  The stability tracker records a call only at the
+        SAVEPOINT's release, so a failure here leaves it untouched.  That
+        release is the outer commit only when no transaction encloses the
+        call: under the service's ``BEGIN``, a commit lost after the
+        release leaves the tracker ahead of the database, and nothing
+        restores it (the tracker is not persisted).
         """
         savepoint.rollback()
         self.commit_log.abandon()

@@ -183,6 +183,23 @@ class VerificationQueue:
         """
         self._focal_of.pop(annotation_id, None)
 
+    def forget_missing(self) -> None:
+        """Drop the focal of every annotation the database no longer
+        holds (a rollback outside the pipeline discarded it).
+
+        The focal of a stored annotation stays: :meth:`verify` measures
+        hops from the triage-time focal, not from the annotation's true
+        attachments, which by then include its auto-accepted edges.
+        """
+        held = {
+            row[0]
+            for row in self.connection.execute(
+                "SELECT annotation_id FROM _nebula_annotations"
+            )
+        }
+        for annotation_id in [a for a in self._focal_of if a not in held]:
+            del self._focal_of[annotation_id]
+
     def pending(self, annotation_id: Optional[int] = None) -> List[VerificationTask]:
         """Pending tasks, optionally for one annotation."""
         sql = (

@@ -307,11 +307,15 @@ class AnnotationService:
         Rolls back any transaction a dead writer left half-flushed
         (acknowledged work was committed, so only unacked effects are
         discarded), truncates the WAL back into the database file,
-        releases dead-letter claims stranded by a crashed replayer, and
-        replays the pending dead letters — claim-protected, so a
-        concurrent or repeated recovery cannot ingest a letter twice.
+        makes the engine's memory equal the database again when the
+        rollback discarded work or the head was restored
+        (:meth:`~repro.core.nebula.Nebula.resync`), releases dead-letter
+        claims stranded by a crashed replayer, and replays the pending
+        dead letters — claim-protected, so a concurrent or repeated
+        recovery cannot ingest a letter twice.
         """
         with self.tracer.span("service.recover") as span:
+            discarded = self.nebula.connection.in_transaction
             self.nebula.connection.rollback()
             self.backend.checkpoint()
             # Log-parity check: the materialized head tables must equal
@@ -328,6 +332,13 @@ class AnnotationService:
                 )
                 self.nebula.commit_log.restore_head()
                 self.metrics.counter("nebula_head_restores_total").inc()
+            # Discarded or restored rows leave the engine's graph, hop
+            # profile and caches describing a state the database no
+            # longer holds.
+            resync = discarded or not head_ok
+            if resync:
+                self.nebula.resync()
+            span.set_attribute("resynced", resync)
             # The crash (or data loaded while the service was down) may
             # have left the persisted search index behind the data; the
             # stamp check rebuilds it before any traffic is accepted.
@@ -380,6 +391,7 @@ class AnnotationService:
             },
             "index_cold_start_seconds": self.nebula.index_cold_start_seconds,
             "index_source": self.nebula.index_source,
+            "acg_build_seconds": self.nebula.acg_build_seconds,
         }
 
     def stats(self) -> ServiceStats:

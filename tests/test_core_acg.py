@@ -1,7 +1,7 @@
 """Unit + property tests for the ACG, stability tracking, and hop profile."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.annotations.engine import AnnotationManager
 from repro.core.acg import (
@@ -10,6 +10,7 @@ from repro.core.acg import (
     HopProfile,
     StabilityTracker,
 )
+from repro.storage.backends import SqliteFileBackend
 from repro.types import CellRef, TupleRef
 
 from conftest import build_figure1_connection
@@ -190,6 +191,124 @@ def test_shortest_hops_matches_breadth_first_search(attachments, start, seeds, r
     assert acg.shortest_hops(_ref(start), seed_refs) == _reference_hops(
         acg, _ref(start), seed_refs
     )
+
+
+# The Figure-1 rows: Gene rowids 1-7, Protein rowids 1-3.
+_TARGETS = [("Gene", i) for i in range(1, 8)] + [("Protein", i) for i in range(1, 4)]
+_COLUMN = {"Gene": "Name", "Protein": "PName"}
+
+#: One annotation's attachments: a row, a cell of a row (the same tuple
+#: as that row's attachment), or a Gene rowid range of up to four rows.
+_attachment = st.one_of(
+    st.tuples(st.sampled_from(["row", "cell"]), st.sampled_from(_TARGETS)),
+    st.tuples(st.just("range"), st.tuples(st.integers(1, 7), st.integers(1, 3))),
+)
+
+
+def _fold(manager, as_of=None):
+    """The reference graph: add_attachment over every true pair."""
+    graph = AnnotationsConnectivityGraph()
+    for annotation_id, ref in manager.store.true_attachment_pairs(as_of=as_of):
+        graph.add_attachment(annotation_id, ref)
+    return graph
+
+
+def _assert_same_graph(graph, reference):
+    assert graph._annotations_of == reference._annotations_of
+    assert graph._tuples_of == reference._tuples_of
+    assert graph._adjacency == reference._adjacency
+    assert graph.edge_count == reference.edge_count
+    assert graph.edge_count * 2 == sum(map(len, graph._adjacency.values()))
+
+
+def _assert_one_object_per_tuple(graph):
+    nodes = graph._nodes
+    assert nodes.keys() == graph._annotations_of.keys()
+    held = list(graph._annotations_of) + list(graph._adjacency)
+    for refs in list(graph._tuples_of.values()) + list(graph._adjacency.values()):
+        held.extend(refs)
+    assert all(nodes[ref] is ref for ref in held)
+
+
+def _reference_k_hop(graph, seeds, k):
+    """Tuples within ``k`` hops of a seed by a plain breadth-first search."""
+    depth = {s: 0 for s in seeds if graph.contains(s)}
+    queue = list(depth)
+    for node in queue:
+        if depth[node] == k:
+            continue
+        for neighbor in graph.neighbors(node):
+            if neighbor not in depth:
+                depth[neighbor] = depth[node] + 1
+                queue.append(neighbor)
+    return depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(_attachment, max_size=5), min_size=1, max_size=8),
+    st.data(),
+)
+def test_one_pass_build_matches_the_attachment_fold(annotations, data):
+    """Property: the one-pass build equals the add_attachment fold, holds
+    one object per tuple, and keeps both through removals and re-adds;
+    its hop searches equal a plain BFS over the fold."""
+    backend = SqliteFileBackend.temporary()
+    try:
+        manager = AnnotationManager(build_figure1_connection(backend.primary))
+        for attachments in annotations:
+            note = manager.add_annotation("note")
+            for kind, target in attachments:
+                if kind == "range":
+                    low, width = target
+                    manager.attach_range(
+                        note.annotation_id, "Gene", low, min(low + width, 7)
+                    )
+                else:
+                    table, rowid = target
+                    column = _COLUMN[table] if kind == "cell" else None
+                    manager.attach_true(
+                        note.annotation_id, CellRef(table, rowid, column)
+                    )
+        built = AnnotationsConnectivityGraph.build_from_manager(manager)
+        reference = _fold(manager)
+        _assert_same_graph(built, reference)
+        _assert_one_object_per_tuple(built)
+        head = manager.store.versioning.head()
+        _assert_same_graph(
+            AnnotationsConnectivityGraph.build_from_manager(manager, as_of=head),
+            built,
+        )
+
+        removed = data.draw(st.integers(1, len(annotations)), label="removed")
+        re_adds = data.draw(
+            st.lists(
+                st.tuples(st.integers(1, len(annotations)), st.sampled_from(_TARGETS)),
+                max_size=4,
+            ),
+            label="re_adds",
+        )
+        for graph in (built, reference):
+            graph.remove_annotation(removed)
+            for annotation_id, (table, rowid) in re_adds:
+                graph.add_attachment(annotation_id, TupleRef(table, rowid))
+        _assert_same_graph(built, reference)
+        _assert_one_object_per_tuple(built)
+
+        refs = st.sampled_from([TupleRef(table, rowid) for table, rowid in _TARGETS])
+        start = data.draw(refs, label="start")
+        seeds = data.draw(st.lists(refs, max_size=3), label="seeds")
+        k = data.draw(st.integers(0, 4), label="k")
+        assert built.shortest_hops(start, seeds) == _reference_hops(
+            reference, start, seeds
+        )
+        within = _reference_k_hop(reference, seeds, k)
+        assert built.k_hop_neighbors(seeds, k) == frozenset(within)
+        assert built.k_hop_neighbors(seeds, k, include_seeds=False) == frozenset(
+            ref for ref, depth in within.items() if depth > 0
+        )
+    finally:
+        backend.close()
 
 
 class TestStabilityTracker:

@@ -303,6 +303,13 @@ class TestHealth:
         assert service.health()["status"] == "stopped"
         assert not service.ready()
 
+    def test_health_reports_the_acg_build_time(self, nebula, metrics):
+        assert nebula.acg_build_seconds > 0
+        gauge = metrics.gauge("nebula_acg_build_seconds")
+        assert gauge.value == nebula.acg_build_seconds
+        health = make_service(nebula).health()
+        assert health["acg_build_seconds"] == nebula.acg_build_seconds
+
     def test_stats_account_for_every_submission(self, db, nebula):
         service = make_service(nebula, queue_capacity=4)
         for text in texts(db, 4):

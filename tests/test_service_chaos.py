@@ -27,6 +27,7 @@ from repro import (
     ServiceConfig,
     generate_bio_database,
 )
+from repro.core.acg import AnnotationsConnectivityGraph, PersistentHopProfile
 from repro.datagen.biodb import BioDatabaseSpec
 from repro.errors import PipelineStageError, ServiceOverloadedError
 from repro.observability import MetricsRegistry, set_metrics
@@ -174,6 +175,52 @@ class TestMidBatchCrash:
         rows = revived.find_annotations("doomed batch member", limit=50)
         assert len(rows) == 3
         assert len({content for _, content, _ in rows}) == 3
+        assert revived.stop() is True
+
+    def test_recovery_makes_engine_memory_equal_the_database(self, world, faults):
+        db, nebula = world
+        chaos = ChaosHarness(faults)
+        genes, proteins = db.community_members(0)
+        service = AnnotationService(
+            nebula, ServiceConfig(max_batch=8, flush_interval=0.01)
+        ).start()
+        committed = service.ingest(
+            f"committed before crash: gene {genes[0].gid}",
+            attach_to=[db.resolve("gene", genes[1].gid)],
+            timeout=10.0,
+        )
+        # Each doomed note has a focal and a candidate above the upper
+        # bound: triage auto-accepts it, adding an ACG edge and a hop to
+        # the profile before the crash discards the batch.
+        chaos.crash_before_commit()
+        for i in range(3):
+            service.submit(
+                f"doomed batch member {i}: gene {genes[i + 1].gid} "
+                f"and protein {proteins[i].pid}",
+                attach_to=[db.resolve("gene", genes[i].gid)],
+            )
+        assert wait_until(lambda: service.crashed is not None)
+        assert service.stop() is False
+        doomed = {committed.annotation_id + 1 + i for i in range(3)}
+        assert doomed <= set(nebula.acg._tuples_of)
+        assert all(len(nebula.acg._tuples_of[a]) > 1 for a in doomed)
+        assert doomed <= set(nebula.queue._focal_of)
+        crashed_hops = nebula.profile.total
+
+        revived = AnnotationService(
+            nebula, ServiceConfig(max_batch=8, flush_interval=0.01)
+        ).start()
+        rebuilt = AnnotationsConnectivityGraph.build_from_manager(nebula.manager)
+        assert nebula.acg._annotations_of == rebuilt._annotations_of
+        assert nebula.acg._tuples_of == rebuilt._tuples_of
+        assert nebula.acg._adjacency == rebuilt._adjacency
+        assert nebula.acg.edge_count == rebuilt.edge_count
+        assert nebula.queue.acg is nebula.acg
+        assert nebula.profile == PersistentHopProfile(nebula.connection)
+        assert nebula.profile.total < crashed_hops
+        assert doomed.isdisjoint(nebula.queue._focal_of)
+        # A stored annotation keeps its triage-time focal for verify().
+        assert committed.annotation_id in nebula.queue._focal_of
         assert revived.stop() is True
 
     def test_recovery_replays_dead_letters_exactly_once(self, world, faults):

@@ -15,7 +15,7 @@ from repro import Nebula, NebulaConfig, generate_bio_database, get_backend
 from repro.annotations.engine import AnnotationManager
 from repro.annotations.rules import RuleEngine
 from repro.annotations.store import AnnotationStore, AttachmentKind
-from repro.core.acg import PersistentHopProfile
+from repro.core.acg import AnnotationsConnectivityGraph, PersistentHopProfile
 from repro.core.verification import VerificationQueue
 from repro.datagen.biodb import BioDatabaseSpec
 from repro.errors import (
@@ -1010,6 +1010,28 @@ class TestSnapshotConsistency:
             assert nebula.commit_log.verify_head() is True
             key = "nebula_head_restores_total"
             assert metrics.snapshot()["counters"].get(key) == 1
+        finally:
+            service.stop()
+
+    def test_recover_rebuilds_the_graph_of_a_restored_head(self, storage_backend):
+        db = generate_bio_database(
+            BioDatabaseSpec(genes=20, proteins=10, publications=40, seed=9),
+            backend=storage_backend,
+        )
+        # The engine opens on a torn head: its graph misses every edge.
+        storage_backend.primary.execute("DELETE FROM _nebula_attachments")
+        storage_backend.primary.commit()
+        nebula = Nebula(
+            storage_backend, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
+        )
+        assert nebula.acg.edge_count == 0
+        service = AnnotationService(nebula, ServiceConfig())
+        try:
+            service.recover()
+            rebuilt = AnnotationsConnectivityGraph.build_from_manager(nebula.manager)
+            assert rebuilt.edge_count > 0
+            assert nebula.acg._adjacency == rebuilt._adjacency
+            assert nebula.acg.edge_count == rebuilt.edge_count
         finally:
             service.stop()
 
