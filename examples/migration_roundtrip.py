@@ -5,7 +5,10 @@ Builds a seed-era (pre-versioning) annotation database, runs the
 with a freshly initialized versioned database holding the same logical
 content — identical schema objects (both at the newest revision with the
 four operational tables), identical state fingerprints, and a head the
-commit log verifies against its own history.  Then writes a row to each
+commit log verifies against its own history.  Then tears the upgraded
+head and log apart in every way the parity check must see, one tear at
+a time, and asserts that each reads as torn and that ``restore_head()``
+heals it.  Then writes a row to each
 operational table, reverts the chain and asserts the legacy layout comes
 back intact (versioning objects gone, the materialized latest state and
 the operational rows preserved), and finally re-upgrades to prove the
@@ -63,6 +66,55 @@ OPERATIONAL_ROWS = [
         "(annotation_id, target_table, predicate) VALUES (?, ?, ?)",
         (3, "Protein", "PType = 'kinase'"),
     ),
+]
+
+_ATTACHMENT_HISTORY_COLUMNS = (
+    "attachment_id, annotation_id, target_table, target_rowid, "
+    "target_rowid_hi, target_column, confidence, kind"
+)
+
+#: Torn states ``CommitLog.verify_head()`` must report, planted one at a
+#: time: (name, the script that tears, the script that puts the log back
+#: or None).  A head-side tear leaves the log intact, so
+#: ``restore_head()`` alone gives back the pre-tear head; a log-side tear
+#: is mended after its restore.
+TEARS = [
+    ("head annotation deleted",
+     "DELETE FROM _nebula_annotations WHERE annotation_id = 2", None),
+    ("head attachment deleted",
+     "DELETE FROM _nebula_attachments WHERE attachment_id = 3", None),
+    ("stray head annotation",
+     "INSERT INTO _nebula_annotations VALUES (9, 'stray', NULL, 9)", None),
+    ("stray head attachment",
+     "INSERT INTO _nebula_attachments "
+     "VALUES (9, 1, 'Gene', 5, NULL, NULL, 0.5, 'predicted')", None),
+    ("head author NULL -> value",
+     "UPDATE _nebula_annotations SET author = 'eve' WHERE annotation_id = 2",
+     None),
+    ("head column value -> NULL",
+     "UPDATE _nebula_attachments SET target_column = NULL "
+     "WHERE attachment_id = 3", None),
+    ("head confidence changed",
+     "UPDATE _nebula_attachments SET confidence = 0.7 WHERE attachment_id = 2",
+     None),
+    # The same edge under another id: equal content, torn by id.
+    ("head attachment re-id",
+     "UPDATE _nebula_attachments SET attachment_id = 9 WHERE attachment_id = 4",
+     None),
+    ("tombstone the head never applied",
+     "INSERT INTO _nebula_attachment_history (commit_id, op, "
+     + _ATTACHMENT_HISTORY_COLUMNS + ") "
+     "SELECT (SELECT MAX(commit_id) FROM _nebula_commits), 'delete', "
+     + _ATTACHMENT_HISTORY_COLUMNS + " "
+     "FROM _nebula_attachments WHERE attachment_id = 1",
+     "DELETE FROM _nebula_attachment_history WHERE history_id = "
+     "(SELECT MAX(history_id) FROM _nebula_attachment_history)"),
+    ("history version deleted",
+     "CREATE TEMP TABLE torn AS SELECT * FROM _nebula_annotation_history "
+     "WHERE annotation_id = 3; "
+     "DELETE FROM _nebula_annotation_history WHERE annotation_id = 3",
+     "INSERT INTO _nebula_annotation_history SELECT * FROM torn; "
+     "DROP TABLE torn"),
 ]
 
 OPERATIONAL_TABLES = (
@@ -138,6 +190,21 @@ def main() -> int:
         if backfill.kind != "migrate":
             return _fail(f"backfill commit kind {backfill.kind!r}")
 
+        # --- every tear reads as torn, and restore_head() heals it ----
+        healthy = timetravel.head_fingerprint(legacy)
+        for name, tear, mend in TEARS:
+            legacy.executescript(tear)
+            if log.verify_head():
+                return _fail(f"head/log parity holds on a torn state: {name}")
+            log.restore_head()
+            if not log.verify_head():
+                return _fail(f"restore_head() left the state torn: {name}")
+            if mend is not None:
+                legacy.executescript(mend)
+                log.restore_head()
+            if not log.verify_head() or timetravel.head_fingerprint(legacy) != healthy:
+                return _fail(f"the head did not come back after: {name}")
+
         # --- parity with a fresh versioned init ---------------------
         fresh = fresh_backend.primary
         if ensure_schema(fresh).current_revision() != newest:
@@ -198,7 +265,8 @@ def main() -> int:
             "migration roundtrip ok: "
             f"engine={legacy_backend.name} "
             f"chain={[m.revision for m in MIGRATIONS]} "
-            f"annotations={len(ANNOTATIONS)} attachments={len(ATTACHMENTS)}"
+            f"annotations={len(ANNOTATIONS)} attachments={len(ATTACHMENTS)} "
+            f"tears={len(TEARS)}"
         )
         return 0
     finally:

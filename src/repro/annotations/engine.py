@@ -2,13 +2,14 @@
 
 ``AnnotationManager`` is the public face of the substrate engine: adding an
 annotation with its manual attachments (the annotation's *focal*), querying
-the annotations of a tuple, and enumerating co-annotation relationships —
-the raw material from which Nebula builds the ACG.
+the annotations of a tuple, and maintaining predicted attachments.  The
+ACG is built from the store's true attachment rows
+(:meth:`AnnotationStore.true_attachment_rows`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..errors import UnknownTupleError
 from ..resilience.retry import RetryPolicy
@@ -174,29 +175,6 @@ class AnnotationManager:
                 seen.add(ref)
                 refs.append(ref)
         return tuple(refs)
-
-    def annotated_tuples(self, as_of: Optional[int] = None) -> List[TupleRef]:
-        """Distinct tuples having at least one true attachment."""
-        seen: Set[TupleRef] = set()
-        ordered: List[TupleRef] = []
-        for _, ref in self.store.true_attachment_pairs(as_of=as_of):
-            if ref not in seen:
-                seen.add(ref)
-                ordered.append(ref)
-        return ordered
-
-    def co_annotation_index(
-        self, as_of: Optional[int] = None
-    ) -> Dict[TupleRef, Set[int]]:
-        """Map each annotated tuple to the set of its annotation ids.
-
-        This is the input from which the ACG derives its edges and weights:
-        two tuples are connected iff their annotation sets intersect.
-        """
-        index: Dict[TupleRef, Set[int]] = {}
-        for annotation_id, ref in self.store.true_attachment_pairs(as_of=as_of):
-            index.setdefault(ref, set()).add(annotation_id)
-        return index
 
     # ------------------------------------------------------------------
     # Maintenance

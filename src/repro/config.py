@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, Optional
 
 from .errors import ConfigurationError
+from .perf.cache import DEFAULT_MAX_ENTRIES
 from .resilience.faults import FaultInjector
 
 
@@ -81,7 +82,7 @@ class NebulaConfig:
     #: file backend opens, readers included.  A constant, not a field.
     busy_timeout: ClassVar[float] = 5.0
     #: LRU capacity of the keyword-analysis memo cache; 0 disables it.
-    analysis_cache_size: int = 2048
+    analysis_cache_size: int = DEFAULT_MAX_ENTRIES
     #: Enable the backward concept search special case (§5.2.3, lines 8-12).
     backward_concept_search: bool = True
     #: Enable the context-based weight adjustment (§5.2.2) — ablation knob.

@@ -15,9 +15,9 @@ lazily, with no eager sweep.
 Entries are namespaced (``"mapper"``, ``"meta.values"``, ...) so one
 cache instance can serve several call sites without key collisions, and
 bounded by an LRU policy so long-running servers cannot grow without
-limit.  Hit/miss/invalidation counts feed both the instance-local
-:class:`CacheStats` and the process metrics registry
-(``nebula_analysis_cache_{hits,misses,invalidations}_total``).
+limit.  Hit/miss/invalidation/eviction counts feed both the
+instance-local :class:`CacheStats` and the process metrics registry
+(``nebula_analysis_cache_{hits,misses,invalidations,evictions}_total``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ from ..observability.metrics import Counter, MetricsRegistry, get_metrics
 
 #: Sentinel distinguishing "no entry" from a cached falsy value.
 MISS: object = object()
+
+#: Default capacity of both per-word memos: the engine's (``mapper.*``
+#: entries, sized by ``NebulaConfig.analysis_cache_size``) and
+#: ``NebulaMeta``'s ``meta.values``.  On the annotate-long streams each
+#: memo's distinct keys stop growing near 3,200 words; at 2,048 entries
+#: the LRU kept evicting that vocabulary and re-fetching it, so the
+#: default holds it with headroom.
+DEFAULT_MAX_ENTRIES = 8192
 
 
 @dataclass
@@ -59,7 +67,7 @@ class AnalysisCache:
 
     def __init__(
         self,
-        max_entries: int = 2048,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.max_entries = max(int(max_entries), 0)
@@ -72,6 +80,9 @@ class AnalysisCache:
         self._m_misses: Counter = registry.counter("nebula_analysis_cache_misses_total")
         self._m_invalidations: Counter = registry.counter(
             "nebula_analysis_cache_invalidations_total"
+        )
+        self._m_evictions: Counter = registry.counter(
+            "nebula_analysis_cache_evictions_total"
         )
 
     def __len__(self) -> int:
@@ -124,6 +135,7 @@ class AnalysisCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+            self._m_evictions.inc()
 
     def clear(self) -> None:
         self._entries.clear()

@@ -87,6 +87,62 @@ _PROMOTE_ATTACHMENT = (
 
 _DELETE_ATTACHMENT = "DELETE FROM _nebula_attachments WHERE attachment_id = ?"
 
+# Head/log parity: four keyed counts, each one pass over its driving
+# table that searches for everything else.  An entity's latest version
+# is its ``MAX(history_id)`` through the ``…_by_entity`` index, fetched
+# by primary key; ``IS`` compares NULL columns as values.  No
+# ``*_current`` view, no sort, no rows fetched: the check's cost
+# follows the number of stored entities, and it holds no copy of them.
+
+#: Head annotations unequal to their latest version, whose latest
+#: version is a tombstone, or that have no history at all.
+_TORN_HEAD_ANNOTATIONS = (
+    "SELECT COUNT(*) FROM _nebula_annotations AS a "
+    "WHERE NOT EXISTS (SELECT 1 FROM _nebula_annotation_history AS h "
+    "WHERE h.history_id = (SELECT MAX(history_id) "
+    "FROM _nebula_annotation_history WHERE annotation_id = a.annotation_id) "
+    "AND h.op <> 'delete' AND h.content IS a.content "
+    "AND h.author IS a.author AND h.created_seq IS a.created_seq)"
+)
+
+#: Annotations whose latest version is live but that have no head row.
+_MISSING_HEAD_ANNOTATIONS = (
+    "SELECT COUNT(*) FROM _nebula_annotation_history AS h "
+    "WHERE NOT EXISTS (SELECT 1 FROM _nebula_annotations AS a "
+    "WHERE a.annotation_id = h.annotation_id) "
+    "AND h.op <> 'delete' AND h.history_id = (SELECT MAX(history_id) "
+    "FROM _nebula_annotation_history WHERE annotation_id = h.annotation_id)"
+)
+
+#: Head attachments unequal to their latest version (same rules).
+_TORN_HEAD_ATTACHMENTS = (
+    "SELECT COUNT(*) FROM _nebula_attachments AS a "
+    "WHERE NOT EXISTS (SELECT 1 FROM _nebula_attachment_history AS h "
+    "WHERE h.history_id = (SELECT MAX(history_id) "
+    "FROM _nebula_attachment_history WHERE attachment_id = a.attachment_id) "
+    "AND h.op <> 'delete' AND h.annotation_id IS a.annotation_id "
+    "AND h.target_table IS a.target_table AND h.target_rowid IS a.target_rowid "
+    "AND h.target_rowid_hi IS a.target_rowid_hi "
+    "AND h.target_column IS a.target_column "
+    "AND h.confidence IS a.confidence AND h.kind IS a.kind)"
+)
+
+#: Attachments whose latest version is live but that have no head row.
+_MISSING_HEAD_ATTACHMENTS = (
+    "SELECT COUNT(*) FROM _nebula_attachment_history AS h "
+    "WHERE NOT EXISTS (SELECT 1 FROM _nebula_attachments AS a "
+    "WHERE a.attachment_id = h.attachment_id) "
+    "AND h.op <> 'delete' AND h.history_id = (SELECT MAX(history_id) "
+    "FROM _nebula_attachment_history WHERE attachment_id = h.attachment_id)"
+)
+
+_HEAD_PARITY_COUNTS = (
+    _TORN_HEAD_ANNOTATIONS,
+    _MISSING_HEAD_ANNOTATIONS,
+    _TORN_HEAD_ATTACHMENTS,
+    _MISSING_HEAD_ATTACHMENTS,
+)
+
 # Head restoration: rebuild the materialized tables from pure history
 # (the current-version views).  Recovery's last resort when the head
 # and the log disagree.
@@ -331,16 +387,17 @@ class CommitLog:
     def verify_head(self) -> bool:
         """Parity oracle: does the materialized head equal the log's view?
 
-        Compares the content-keyed fingerprint of the head tables against
-        the pure-history reconstruction through the ``*_current`` views.
-        True on every healthy database — head writes and history appends
-        share a transaction — so False means torn state worth healing.
+        Keyed, in both directions: every head row must equal the latest
+        live version of its id, column by column, and every id whose
+        latest version is live must have a head row.  True on every
+        healthy database — head writes and history appends share a
+        transaction, and every append copies the head row's id — so
+        False means torn state worth healing.
         """
-        from . import timetravel
-
-        return timetravel.head_fingerprint(
-            self.connection
-        ) == timetravel.state_fingerprint(self.connection)
+        return not any(
+            self.connection.execute(sql).fetchone()[0]
+            for sql in _HEAD_PARITY_COUNTS
+        )
 
     def restore_head(self) -> None:
         """Rebuild the materialized head from the append-only history.

@@ -23,8 +23,11 @@ The materialized tables (``_nebula_annotations`` /
 appends the matching history row inside the same SAVEPOINT, so the two
 representations cannot diverge under rollback.  The
 ``*_current`` views recompute the head purely from history (latest
-``history_id`` per entity, tombstones excluded); they are the parity
-oracle for migrations, recovery, and the property tests.  The
+``history_id`` per entity, tombstones excluded); recovery's
+``restore_head`` replays them into the head, and they are the
+reference for migration parity and the property tests.  The
+recovery check itself (``CommitLog.verify_head``) reads no view: it
+compares each entity's latest version with its head row by id.  The
 whole-state ``as_of`` reads in :mod:`repro.versioning.timetravel` are
 the same query with a ``commit_id <= ?`` pin; the entity-addressed ones
 (one annotation, one tuple, one row's edges) search the history through

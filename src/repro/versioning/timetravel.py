@@ -334,9 +334,9 @@ def state_fingerprint(
     """Canonical (annotations, attachments) content at ``as_of``.
 
     With ``as_of=None`` the fingerprint is computed from the
-    current-version *views* (pure history reconstruction) — comparing
-    it against the materialized head tables is the parity oracle used
-    by recovery, the migration round-trip, and the property tests.
+    current-version *views* (pure history reconstruction); comparing
+    it against :func:`head_fingerprint` is the content-keyed reference
+    of :meth:`~repro.versioning.log.CommitLog.verify_head` in the tests.
     Rows are keyed by content, not surrogate ids, so a legacy database
     rebuilt through a migration fingerprints identically to a fresh
     versioned init.

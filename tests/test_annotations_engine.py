@@ -60,18 +60,6 @@ class TestReads:
         manager.attach_predicted(a.annotation_id, CellRef("Gene", 2), 0.5)
         assert manager.focal_of(a.annotation_id) == (TupleRef("Gene", 1),)
 
-    def test_annotated_tuples_distinct_ordered(self, manager):
-        manager.add_annotation("one", attach_to=[CellRef("Gene", 1), CellRef("Gene", 2)])
-        manager.add_annotation("two", attach_to=[CellRef("Gene", 1)])
-        assert manager.annotated_tuples() == [TupleRef("Gene", 1), TupleRef("Gene", 2)]
-
-    def test_co_annotation_index(self, manager):
-        a = manager.add_annotation("one", attach_to=[CellRef("Gene", 1), CellRef("Gene", 2)])
-        b = manager.add_annotation("two", attach_to=[CellRef("Gene", 1)])
-        index = manager.co_annotation_index()
-        assert index[TupleRef("Gene", 1)] == {a.annotation_id, b.annotation_id}
-        assert index[TupleRef("Gene", 2)] == {a.annotation_id}
-
 
 class TestMaintenance:
     def test_promote_and_discard(self, manager):

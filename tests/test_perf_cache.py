@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ConceptRef, Lexicon
+from repro import ConceptRef, Lexicon, NebulaConfig
 from repro.annotations.engine import AnnotationManager
 from repro.errors import StorageError
+from repro.meta.repository import NebulaMeta
+from repro.observability import MetricsRegistry
 from repro.perf import MISS, AnalysisCache, AnnotationRequest, coerce_request
 from repro.search.index import InvertedValueIndex
 from repro.search.metadata import SchemaGraph
@@ -66,6 +68,30 @@ class TestAnalysisCache:
         assert cache.get("ns", "b", 0) is MISS
         assert cache.get("ns", "a", 0) == 1
         assert cache.stats.evictions == 1
+
+    def test_eviction_is_exported(self):
+        registry = MetricsRegistry()
+        cache = AnalysisCache(max_entries=1, metrics=registry)
+        cache.put("ns", "a", 0, 1)
+        assert registry.counter("nebula_analysis_cache_evictions_total").value == 0
+        cache.put("ns", "b", 0, 2)  # evicts "a"
+        assert registry.counter("nebula_analysis_cache_evictions_total").value == 1
+        assert cache.stats.evictions == 1
+
+    def test_default_holds_a_long_stream_vocabulary(self):
+        """Both per-word memos default to one capacity that holds the
+        ~3,200 distinct words an annotate-long stream settles at: a second
+        pass over them hits every time."""
+        meta = NebulaMeta()
+        assert NebulaConfig().analysis_cache_size == meta._cache.max_entries
+        cache = AnalysisCache(NebulaConfig().analysis_cache_size)
+        words = [f"word{i}" for i in range(3200)]
+        for _ in range(2):
+            for word in words:
+                if cache.get("mapper.keyword", word, 0) is MISS:
+                    cache.put("mapper.keyword", word, 0, (word,))
+        assert cache.stats.evictions == 0
+        assert cache.stats.hits == len(words)
 
     def test_zero_capacity_disables(self):
         cache = AnalysisCache(max_entries=0)

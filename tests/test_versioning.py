@@ -7,11 +7,19 @@ snapshot-consistent service reads, and dead-letter commit stamping.
 """
 
 import random
+import sqlite3
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import Nebula, NebulaConfig, generate_bio_database, get_backend
+from repro import (
+    Nebula,
+    NebulaConfig,
+    SqliteFileBackend,
+    generate_bio_database,
+    get_backend,
+)
 from repro.annotations.engine import AnnotationManager
 from repro.annotations.rules import RuleEngine
 from repro.annotations.store import AnnotationStore, AttachmentKind
@@ -37,6 +45,8 @@ from repro.versioning import (
     timetravel,
 )
 from repro.versioning.schema import LEGACY_DDL
+
+from conftest import build_figure1_connection
 
 
 @pytest.fixture
@@ -222,6 +232,210 @@ class TestHistoryAppends:
 # Head/log parity and recovery
 # ----------------------------------------------------------------------
 
+#: The annotatable tables of the Figure-1 world and their row counts.
+_TABLE_ROWS = (("Gene", 7), ("Protein", 3))
+
+#: A column of each table for cell and column-level edges.
+_COLUMNS = {"Gene": "Family", "Protein": "PType"}
+
+_AUTHORS = (None, "ann", "bob")
+
+#: Store operations of the differential test; each draws two integers
+#: that pick its target and its values.
+_STORE_OPS = (
+    "insert", "bulk", "attach", "attach_range", "table_edge", "promote", "detach",
+)
+
+#: Torn states the parity check must see: the head loses a row, gains a
+#: row with no history, or differs in one column; the history gains a
+#: tombstone the head did not apply, or loses a row; a head attachment
+#: moves to another id with its content unchanged.
+_TEARS = (
+    "drop_head_row",
+    "stray_head_row",
+    "change_head_column",
+    "tombstone",
+    "drop_history_row",
+    "reid_attachment",
+)
+
+#: Tears that leave the history as it was.
+_HEAD_SIDE_TEARS = frozenset(
+    {"drop_head_row", "stray_head_row", "change_head_column", "reid_attachment"}
+)
+
+#: Per head table: its id column, its history table, and each column a
+#: tear may change, with the statement's new value (NULL <-> value for
+#: the nullable ones).
+_HEAD_TABLES = {
+    "_nebula_annotations": (
+        "annotation_id",
+        "_nebula_annotation_history",
+        {
+            "content": "content || ' (torn)'",
+            "author": "CASE WHEN author IS NULL THEN 'eve' ELSE NULL END",
+            "created_seq": "created_seq + 1000",
+        },
+    ),
+    "_nebula_attachments": (
+        "attachment_id",
+        "_nebula_attachment_history",
+        {
+            "annotation_id": "annotation_id + 1000",
+            "target_table": "CASE target_table WHEN 'Gene' THEN 'Protein' "
+            "ELSE 'Gene' END",
+            "target_rowid": "CASE WHEN target_rowid IS NULL THEN 1 ELSE NULL END",
+            "target_rowid_hi": "CASE WHEN target_rowid_hi IS NULL THEN 99 "
+            "ELSE NULL END",
+            "target_column": "CASE WHEN target_column IS NULL THEN 'Family' "
+            "ELSE NULL END",
+            "confidence": "CASE WHEN confidence = 0.5 THEN 0.25 ELSE 0.5 END",
+            "kind": "CASE kind WHEN 'true' THEN 'predicted' ELSE 'true' END",
+        },
+    ),
+}
+
+_HISTORY_COLUMNS = {
+    "_nebula_annotation_history": "annotation_id, content, author, created_seq",
+    "_nebula_attachment_history": (
+        "attachment_id, annotation_id, target_table, target_rowid, "
+        "target_rowid_hi, target_column, confidence, kind"
+    ),
+}
+
+
+def _ids(connection, table, column):
+    return [
+        int(row[0])
+        for row in connection.execute(
+            f"SELECT {column} FROM {table} ORDER BY {column}"
+        ).fetchall()
+    ]
+
+
+def _run_store_ops(store, ops):
+    """Apply the drawn operations; an op with no target is skipped."""
+    connection = store.connection
+    for step, (op, pick, value) in enumerate(ops):
+        annotations = _ids(connection, "_nebula_annotations", "annotation_id")
+        table, rows = _TABLE_ROWS[value % 2]
+        if op == "insert" or not annotations:
+            store.insert_annotation(f"note {step}", author=_AUTHORS[value % 3])
+        elif op == "bulk":
+            store.bulk_insert_annotations(
+                [
+                    (f"bulk {step}.{i}", _AUTHORS[(value + i) % 3])
+                    for i in range(1 + pick % 3)
+                ]
+            )
+        elif op in ("attach", "table_edge"):
+            predicted = value % 3 == 0
+            store.attach(
+                annotations[pick % len(annotations)],
+                CellRef(
+                    table,
+                    None if op == "table_edge" else 1 + pick % rows,
+                    _COLUMNS[table] if value % 4 == 1 else None,
+                ),
+                confidence=round(0.1 + (value % 8) / 10, 1),
+                kind=AttachmentKind.PREDICTED if predicted else AttachmentKind.TRUE,
+            )
+        elif op == "attach_range":
+            low = 1 + pick % (rows - 1)
+            store.attach_range(
+                annotations[pick % len(annotations)],
+                table,
+                low,
+                low + 1 + value % (rows - low),
+                column=_COLUMNS[table] if value % 2 else None,
+            )
+        else:
+            kind = "predicted" if op == "promote" else None
+            edges = [
+                int(row[0])
+                for row in connection.execute(
+                    "SELECT attachment_id FROM _nebula_attachments "
+                    "WHERE ? IS NULL OR kind = ? ORDER BY attachment_id",
+                    (kind, kind),
+                ).fetchall()
+            ]
+            if not edges:
+                continue
+            if op == "promote":
+                store.promote(edges[pick % len(edges)])
+            else:
+                store.detach(edges[pick % len(edges)])
+
+
+def _plant_tear(connection, tear, pick, value):
+    """Tear the head or the history apart in one statement, if possible."""
+    if tear == "reid_attachment" or value % 2:
+        head = "_nebula_attachments"
+    else:
+        head = "_nebula_annotations"
+    id_column, history, changes = _HEAD_TABLES[head]
+    if tear == "stray_head_row":
+        if head == "_nebula_annotations":
+            connection.execute(
+                "INSERT INTO _nebula_annotations (content, author, created_seq) "
+                "VALUES ('stray', NULL, 100000)"
+            )
+        else:
+            connection.execute(
+                "INSERT INTO _nebula_attachments (annotation_id, target_table, "
+                "target_rowid, confidence, kind) VALUES (?, 'Gene', ?, 0.5, "
+                "'predicted')",
+                (1 + pick % 5, 1 + value % 7),
+            )
+        return
+    if tear == "drop_history_row":
+        versions = _ids(connection, history, "history_id")
+        if versions:
+            connection.execute(
+                f"DELETE FROM {history} WHERE history_id = ?",
+                (versions[pick % len(versions)],),
+            )
+        return
+    ids = _ids(connection, head, id_column)
+    if not ids:
+        return
+    victim = ids[pick % len(ids)]
+    if tear == "drop_head_row":
+        connection.execute(f"DELETE FROM {head} WHERE {id_column} = ?", (victim,))
+    elif tear == "change_head_column":
+        column = sorted(changes)[value // 2 % len(changes)]
+        try:
+            connection.execute(
+                f"UPDATE {head} SET {column} = {changes[column]} "
+                f"WHERE {id_column} = ?",
+                (victim,),
+            )
+        except sqlite3.IntegrityError:
+            pass  # the new value would duplicate another edge: no tear
+    elif tear == "tombstone":
+        columns = _HISTORY_COLUMNS[history]
+        connection.execute(
+            f"INSERT INTO {history} (commit_id, op, {columns}) "
+            f"SELECT (SELECT MAX(commit_id) FROM _nebula_commits), 'delete', "
+            f"{columns} FROM {head} WHERE {id_column} = ?",
+            (victim,),
+        )
+    else:  # reid_attachment: same edge, an id no version has used
+        connection.execute(
+            "UPDATE _nebula_attachments SET attachment_id = "
+            "(SELECT MAX(attachment_id) FROM _nebula_attachment_history) + 1 "
+            "WHERE attachment_id = ?",
+            (victim,),
+        )
+
+
+def _content_check(connection):
+    """The content-keyed reference: head and views as sorted multisets."""
+    return timetravel.head_fingerprint(connection) == timetravel.state_fingerprint(
+        connection
+    )
+
+
 
 class TestHeadParity:
     def test_healthy_store_verifies(self, store, log):
@@ -249,16 +463,91 @@ class TestHeadParity:
         assert store.count_attachments() == 0
         assert store.count_annotations() == 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(_STORE_OPS),
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+            ),
+            max_size=16,
+        ),
+        tear=st.none()
+        | st.tuples(
+            st.sampled_from(_TEARS), st.integers(0, 10**6), st.integers(0, 10**6)
+        ),
+    )
+    def test_keyed_check_agrees_with_the_content_check(self, ops, tear):
+        """Differential: after random store operations and at most one
+        planted tear, the keyed check reads what the content-keyed
+        fingerprint comparison reads, except that an attachment moved to
+        another id is torn for the keyed check only; ``restore_head()``
+        heals every tear."""
+        backend = SqliteFileBackend.temporary()
+        try:
+            store = AnnotationStore(build_figure1_connection(backend.primary))
+            log = store.versioning
+            connection = store.connection
+            _run_store_ops(store, ops)
+            before = timetravel.head_fingerprint(connection)
+            assert log.verify_head() is True
+            assert _content_check(connection) is True
+            if tear is None:
+                return
+            kind, pick, value = tear
+            _plant_tear(connection, kind, pick, value)
+            if kind == "reid_attachment" and before[1]:
+                assert _content_check(connection) is True
+                assert log.verify_head() is False
+            else:
+                assert log.verify_head() is _content_check(connection)
+            log.restore_head()
+            assert log.verify_head() is True
+            assert _content_check(connection) is True
+            if kind in _HEAD_SIDE_TEARS:
+                assert timetravel.head_fingerprint(connection) == before
+        finally:
+            backend.close()
+
+    def test_verify_head_walks_each_entity_by_key(self, store, log):
+        """The check is four counts: each scans its driving table once
+        and searches for everything else; none reads a ``*_current`` view,
+        materializes a subquery or sorts."""
+        a = store.insert_annotation("keyed", author="k")
+        store.attach(a.annotation_id, CellRef("Gene", 2))
+        store.attach_range(a.annotation_id, "Gene", 3, 5)
+        connection = store.connection
+        statements = []
+        connection.set_trace_callback(statements.append)
+        try:
+            assert log.verify_head() is True
+        finally:
+            connection.set_trace_callback(None)
+        assert len(statements) == 4, statements
+        for sql in statements:
+            assert sql.startswith("SELECT COUNT(*) FROM"), sql
+            assert "_current" not in sql, sql
+            lines = [
+                str(row[3])
+                for row in connection.execute("EXPLAIN QUERY PLAN " + sql)
+            ]
+            assert not [
+                line for line in lines
+                if "MATERIALIZE" in line or "USE TEMP B-TREE" in line
+            ], lines
+            scans = [line for line in lines if line.startswith("SCAN")]
+            assert len(scans) == 1, lines
+            rest = [line for line in lines if line not in scans]
+            assert rest and all(
+                line.startswith(("SEARCH", "CORRELATED SCALAR SUBQUERY"))
+                for line in rest
+            ), lines
+
 
 # ----------------------------------------------------------------------
 # Time travel: the core property
 # ----------------------------------------------------------------------
-
-#: The annotatable tables of the Figure-1 world and their row counts.
-_TABLE_ROWS = (("Gene", 7), ("Protein", 3))
-
-#: A column of each table for cell and column-level edges.
-_COLUMNS = {"Gene": "Family", "Protein": "PType"}
 
 #: The service's head tuple read (``AnnotationService.annotations_for``).
 _HEAD_TUPLE_READ = (
