@@ -52,23 +52,17 @@ ROUNDS = 5
 MAX_HEAD_OVERHEAD = 2.0 if BENCH_SMOKE else 1.2
 
 # The three latest-state query shapes the service read path issues most:
-# substring find, attachments-on-a-tuple, and the corpus count.  The
-# head tables and the legacy tables share one schema, so the identical
-# statements run on both — the overhead measured is pure storage-layout
-# cost, not SQL differences.
+# substring find, attachments-on-a-tuple (the head form of the edges that
+# apply to a row, :func:`repro.versioning.timetravel.attachments_on_row`),
+# and the corpus count.  The head tables and the legacy tables share one
+# schema (the clone also gets revision 0005's range index, which the row
+# read searches), so the identical statements run on both with the same
+# plans — the overhead measured is storage-layout cost, not SQL
+# differences.
 
 _FIND = (
     "SELECT annotation_id, content, author FROM _nebula_annotations "
     "WHERE content LIKE '%' || ? || '%' ORDER BY annotation_id DESC LIMIT ?"
-)
-
-_ATTACHMENTS_ON = (
-    "SELECT attachment_id, annotation_id, target_table, target_rowid, "
-    "target_rowid_hi, target_column, confidence, kind "
-    "FROM _nebula_attachments WHERE target_table = ? "
-    "AND (target_rowid IS NULL OR (target_rowid <= ? "
-    "AND ? <= COALESCE(target_rowid_hi, target_rowid))) "
-    "ORDER BY attachment_id"
 )
 
 _COUNT = "SELECT COUNT(*) FROM _nebula_annotations"
@@ -85,6 +79,10 @@ def _clone_legacy(connection):
     backend = SqliteFileBackend.temporary()
     legacy = backend.primary
     legacy.executescript(LEGACY_DDL)
+    legacy.execute(
+        "CREATE INDEX _nebula_attachments_by_range ON _nebula_attachments "
+        "(target_table, target_rowid) WHERE target_rowid_hi IS NOT NULL"
+    )
     legacy.executemany(
         "INSERT INTO _nebula_annotations VALUES (?, ?, ?, ?)",
         connection.execute(
@@ -116,9 +114,7 @@ def _read_suite_ms(connection):
     find = _time_ms(
         lambda: connection.execute(_FIND, ("gene", 25)).fetchall()
     )
-    attach = _time_ms(
-        lambda: connection.execute(_ATTACHMENTS_ON, ("Gene", 17, 17)).fetchall()
-    )
+    attach = _time_ms(lambda: timetravel.attachments_on_row(connection, "Gene", 17))
     count = _time_ms(lambda: connection.execute(_COUNT).fetchone())
     return {"find_ms": find, "attachments_ms": attach, "count_ms": count,
             "total_ms": find + attach + count}
@@ -136,7 +132,7 @@ def _asof_suite_ms(connection, pin):
         ).fetchall()
     )
     attach = _time_ms(
-        lambda: timetravel.attachments_on_rows(connection, "Gene", pin, rowid=17)
+        lambda: timetravel.attachments_on_row(connection, "Gene", 17, as_of=pin)
     )
     count = _time_ms(lambda: timetravel.count_annotations(connection, pin))
     return {"find_ms": find, "attachments_ms": attach, "count_ms": count,

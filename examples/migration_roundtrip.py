@@ -5,14 +5,17 @@ Builds a seed-era (pre-versioning) annotation database, runs the
 with a freshly initialized versioned database holding the same logical
 content — identical schema objects (both at the newest revision with the
 four operational tables), identical state fingerprints, and a head the
-commit log verifies against its own history.  Then tears the upgraded
+commit log verifies against its own history.  The service's tuple read
+on the upgraded database must return every edge that applies to a row (a
+legacy range edge and a table-level edge included), at the head and at
+the backfill commit, as the store's row read does.  Then tears the upgraded
 head and log apart in every way the parity check must see, one tear at
 a time, and asserts that each reads as torn and that ``restore_head()``
 heals it.  Then writes a row to each
 operational table, reverts the chain and asserts the legacy layout comes
-back intact (versioning objects gone, the materialized latest state and
-the operational rows preserved), and finally re-upgrades to prove the
-round trip is lossless.
+back intact (versioning objects and revision 0005's indexes gone, the
+materialized latest state and the operational rows preserved), and
+finally re-upgrades to prove the round trip is lossless.
 
 Both databases are temporary files, deleted on exit.  Exits non-zero on
 any violated invariant.
@@ -25,6 +28,7 @@ Run::
 import sys
 
 from repro import SqliteFileBackend
+from repro.annotations.store import AnnotationStore
 from repro.versioning import (
     BASELINE_REVISION,
     CommitLog,
@@ -46,7 +50,19 @@ ATTACHMENTS = [
     (2, 1, "Gene", 4, None, None, 0.8, "predicted"),
     (3, 2, "Gene", 2, None, "name", 1.0, "true"),
     (4, 3, "Protein", 1, 3, None, 0.6, "predicted"),
+    (5, 2, "Protein", None, None, None, 1.0, "true"),
 ]
+
+#: The user table the edges above point into (Gene is not read).
+PROTEIN_ROWS = [("P00001",), ("P00002",), ("P00003",)]
+
+#: Revision 0005's indexes: the partial indexes of the range edges and
+#: the verification tasks by annotation.
+READ_INDEXES = {
+    ("index", "_nebula_attachments_by_range"),
+    ("index", "_nebula_attachment_history_by_range"),
+    ("index", "_nebula_verification_tasks_by_annotation"),
+}
 
 #: One row per operational table (revision 0004), kept on downgrade.
 OPERATIONAL_ROWS = [
@@ -154,6 +170,23 @@ def _operational_rows(connection):
     }
 
 
+def _store_row_read(store, table, rowid, as_of):
+    """The store's row read joined with content, in the service's order."""
+    edges = sorted(
+        store.attachments_on(table, rowid, as_of=as_of),
+        key=lambda a: (-a.confidence, a.annotation_id, a.attachment_id),
+    )
+    return [
+        (
+            a.annotation_id,
+            store.get_annotation(a.annotation_id, as_of=as_of).content,
+            a.confidence,
+            a.kind.value,
+        )
+        for a in edges
+    ]
+
+
 def _fail(message):
     print(f"FAIL: {message}", file=sys.stderr)
     return 1
@@ -166,6 +199,8 @@ def main() -> int:
         # --- the seed-era world -------------------------------------
         legacy = legacy_backend.primary
         legacy.executescript(LEGACY_DDL)
+        legacy.execute("CREATE TABLE Protein (PID TEXT NOT NULL)")
+        legacy.executemany("INSERT INTO Protein VALUES (?)", PROTEIN_ROWS)
         _seed_rows(legacy)
         runner = MigrationRunner(legacy)
         if runner.current_revision() != BASELINE_REVISION:
@@ -189,6 +224,24 @@ def main() -> int:
         backfill = log.commits()[-1]
         if backfill.kind != "migrate":
             return _fail(f"backfill commit kind {backfill.kind!r}")
+
+        # --- the service's tuple read: every edge that applies ------
+        # (timetravel.annotations_on_row is AnnotationService.annotations_for's
+        # statement).  Protein 2 lies in legacy range edge 4 (annotation 3);
+        # table-level edge 5 (annotation 2) applies to every Protein row.
+        if not READ_INDEXES <= _schema_objects(legacy):
+            return _fail("upgraded database lacks revision 0005's indexes")
+        store = AnnotationStore(legacy)
+        for as_of in (None, backfill.commit_id):
+            for rowid in range(1, len(PROTEIN_ROWS) + 1):
+                read = timetravel.annotations_on_row(legacy, "Protein", rowid, as_of)
+                if read != _store_row_read(store, "Protein", rowid, as_of):
+                    return _fail(f"tuple read of Protein {rowid}@{as_of}: {read}")
+                if 2 not in {row[0] for row in read}:
+                    return _fail(f"table-level edge misses Protein {rowid}@{as_of}")
+            read = timetravel.annotations_on_row(legacy, "Protein", 2, as_of)
+            if 3 not in {row[0] for row in read}:
+                return _fail(f"range edge misses Protein 2@{as_of}: {read}")
 
         # --- every tear reads as torn, and restore_head() heals it ----
         healthy = timetravel.head_fingerprint(legacy)
@@ -244,6 +297,8 @@ def main() -> int:
         }
         if leaked:
             return _fail(f"versioning objects survived the downgrade: {leaked}")
+        if READ_INDEXES & _schema_objects(legacy):
+            return _fail("an index of revision 0005 survived the downgrade")
         if timetravel.head_fingerprint(legacy) != upgraded_head:
             return _fail("latest state lost by the downgrade")
         if _operational_rows(legacy) != operational:
@@ -258,6 +313,8 @@ def main() -> int:
             return _fail("re-upgrade changed the operational rows")
         if runner.current_revision() != newest:
             return _fail(f"re-upgrade stopped at {runner.current_revision()}")
+        if not READ_INDEXES <= _schema_objects(legacy):
+            return _fail("re-upgrade did not restore revision 0005's indexes")
         if not CommitLog(legacy).verify_head():
             return _fail("head/log parity does not hold after re-upgrade")
 

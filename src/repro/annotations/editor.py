@@ -9,9 +9,10 @@ inserting a tuple through the editor
    index (so the new tuple is immediately discoverable by Nebula), and
 3. fires the predicate-based annotation rules on the new tuple.
 
-Deleting a tuple detaches its row-level annotations (the edges would
-otherwise dangle) and is refused while predicted attachments are pending
-on it (the expert should resolve them first).
+Deleting a tuple detaches its row- and cell-level annotations (the edges
+would otherwise dangle) and is refused while predicted attachments are
+pending on it (the expert should resolve them first).  Column-, table-
+and range-level edges stay: they apply to the rows still present.
 """
 
 from __future__ import annotations
@@ -91,10 +92,12 @@ class DataEditor:
         attachments detached.
         """
         canonical = self.manager.store.validate_table(ref.table)
+        # The row's own edges: a covering range stays and keeps applying
+        # to the rows still present.
         attachments = [
             a
             for a in self.manager.store.attachments_on(canonical, rowid=ref.rowid)
-            if a.rowid == ref.rowid
+            if a.rowid == ref.rowid and a.rowid_hi is None
         ]
         pending = [a for a in attachments if a.kind is AttachmentKind.PREDICTED]
         if pending and not force:

@@ -6,8 +6,9 @@ row-level and cell-level annotations of that row, plus column-level and
 table-level annotations of the projected columns.
 
 :func:`propagate` implements that operator over an arbitrary single-table
-selection: it executes the query, then joins the answer with the attachment
-side table and groups the applicable annotations per row.
+selection: it executes the query, then reads the edges that apply to each
+distinct answer row through :meth:`AnnotationStore.attachments_on` (one
+keyed statement per row) and the annotations' content in one statement.
 """
 
 from __future__ import annotations
@@ -47,10 +48,7 @@ def propagate(
     ``include_predicted`` — the passive engine only ever shows true edges,
     while Nebula's UI also surfaces pending predictions.
 
-    The join is batched: one pass collects the answer rowids, a second pass
-    fetches every applicable attachment, then rows and annotations are
-    merged in memory — the same structure as the side-table join of the
-    original engine.
+    Column-level edges apply only when their column is projected.
     """
     store = AnnotationStore(connection)
     canonical = store.validate_table(table)
@@ -71,9 +69,10 @@ def propagate(
     if not answer:
         return []
 
-    rowids = [int(r[0]) for r in answer]
-    attachments = _collect_attachments(connection, canonical, rowids, include_predicted)
-    contents = _annotation_contents(connection, attachments)
+    edges = _edges_of_rows(
+        store, canonical, [int(r[0]) for r in answer], include_predicted
+    )
+    contents = _annotation_contents(connection, edges)
 
     projected_columns = _resolve_projection(connection, canonical, projected)
     rows: List[AnnotatedRow] = []
@@ -81,8 +80,8 @@ def propagate(
         rowid = int(raw[0])
         applicable = [
             (contents[a.annotation_id], a)
-            for a in attachments
-            if _applies(a, rowid, projected_columns)
+            for a in edges[rowid]
+            if _applies(a, projected_columns)
         ]
         rows.append(
             AnnotatedRow(
@@ -94,48 +93,36 @@ def propagate(
     return rows
 
 
-def _collect_attachments(
-    connection: Connection,
+def _edges_of_rows(
+    store: AnnotationStore,
     table: str,
     rowids: Sequence[int],
     include_predicted: bool,
-) -> List[Attachment]:
-    placeholders = ", ".join("?" for _ in rowids)
-    kinds = "('true', 'predicted')" if include_predicted else "('true')"
-    rows = connection.execute(
-        "SELECT attachment_id, annotation_id, target_table, target_rowid, "
-        "target_rowid_hi, target_column, confidence, kind "
-        "FROM _nebula_attachments "
-        f"WHERE target_table = ? AND kind IN {kinds} "
-        f"AND (target_rowid IS NULL OR target_rowid IN ({placeholders}) "
-        "OR target_rowid_hi IS NOT NULL)",
-        [table, *rowids],
-    ).fetchall()
-    collected = [
-        Attachment(
-            attachment_id=int(r[0]),
-            annotation_id=int(r[1]),
-            table=str(r[2]),
-            rowid=None if r[3] is None else int(r[3]),
-            rowid_hi=None if r[4] is None else int(r[4]),
-            column=None if r[5] is None else str(r[5]),
-            confidence=float(r[6]),
-            kind=AttachmentKind(r[7]),
-        )
-        for r in rows
-    ]
-    wanted = set(rowids)
-    return [
-        a
-        for a in collected
-        if a.rowid is None or any(a.covers(r) for r in wanted)
-    ]
+) -> Dict[int, List[Attachment]]:
+    """The edges that apply to each distinct row, true ones only unless
+    ``include_predicted``."""
+    return {
+        rowid: [
+            a
+            for a in store.attachments_on(table, rowid)
+            if include_predicted or a.kind is AttachmentKind.TRUE
+        ]
+        for rowid in set(rowids)
+    }
 
 
 def _annotation_contents(
-    connection: Connection, attachments: Sequence[Attachment]
+    connection: Connection, *edges: Dict[int, List[Attachment]]
 ) -> Dict[int, str]:
-    ids = sorted({a.annotation_id for a in attachments})
+    """Content of every annotation with an edge in ``edges``."""
+    ids = sorted(
+        {
+            a.annotation_id
+            for of_rows in edges
+            for applying in of_rows.values()
+            for a in applying
+        }
+    )
     if not ids:
         return {}
     placeholders = ", ".join("?" for _ in ids)
@@ -191,29 +178,20 @@ def propagate_join(
     if not answer:
         return []
 
-    left_rowids = sorted({int(r[0]) for r in answer})
-    right_rowids = sorted({int(r[1]) for r in answer})
-    left_attachments = _collect_attachments(
-        connection, left, left_rowids, include_predicted
+    left_edges = _edges_of_rows(
+        store, left, [int(r[0]) for r in answer], include_predicted
     )
-    right_attachments = _collect_attachments(
-        connection, right, right_rowids, include_predicted
+    right_edges = _edges_of_rows(
+        store, right, [int(r[1]) for r in answer], include_predicted
     )
-    contents = _annotation_contents(
-        connection, [*left_attachments, *right_attachments]
-    )
+    contents = _annotation_contents(connection, left_edges, right_edges)
 
     rows: List[AnnotatedJoinRow] = []
     for raw in answer:
         left_rowid, right_rowid = int(raw[0]), int(raw[1])
         applicable = [
             (contents[a.annotation_id], a)
-            for a in left_attachments
-            if _applies(a, left_rowid, None)
-        ] + [
-            (contents[a.annotation_id], a)
-            for a in right_attachments
-            if _applies(a, right_rowid, None)
+            for a in left_edges[left_rowid] + right_edges[right_rowid]
         ]
         rows.append(
             AnnotatedJoinRow(
@@ -234,9 +212,8 @@ def _resolve_projection(
     return frozenset(c.strip().casefold() for c in projected)
 
 
-def _applies(attachment: Attachment, rowid: int, projected: Optional[frozenset]) -> bool:
-    if not attachment.covers(rowid):
-        return False
+def _applies(attachment: Attachment, projected: Optional[frozenset]) -> bool:
+    """A column-level or cell edge applies when its column is projected."""
     if attachment.column is not None and projected is not None:
         return attachment.column.casefold() in projected
     return True

@@ -107,14 +107,6 @@ class Attachment:
             return None
         return TupleRef(self.table, self.rowid)
 
-    def covers(self, rowid: int) -> bool:
-        """Whether this attachment applies to ``rowid`` (row-level only)."""
-        if self.rowid is None:
-            return True  # column/table level applies to every row
-        if self.rowid_hi is None:
-            return self.rowid == rowid
-        return self.rowid <= rowid <= self.rowid_hi
-
 
 class AnnotationStore:
     """Low-level persistence for annotations and attachments."""
@@ -495,39 +487,22 @@ class AnnotationStore:
         """Attachment edges touching a table / row / cell target.
 
         Row queries also return column-level and table-level attachments,
-        because those apply to every row (passive-engine semantics).
+        because those apply to every row (passive-engine semantics), and
+        the range edges covering the row: the family of
+        :func:`repro.versioning.timetravel.attachments_on_row`.
         """
         canonical = self.validate_table(table)
         canonical_column = (
             self.validate_column(canonical, column) if column is not None else None
         )
-        if as_of is not None:
-            return [
-                _row_to_attachment(r)
-                for r in timetravel.attachments_on_rows(
-                    self.connection,
-                    canonical,
-                    as_of,
-                    rowid=rowid,
-                    column=canonical_column,
-                )
-            ]
-        clauses = ["target_table = ?"]
-        params: List[object] = [canonical]
         if rowid is not None:
-            clauses.append(
-                "(target_rowid IS NULL OR (target_rowid <= ? "
-                "AND ? <= COALESCE(target_rowid_hi, target_rowid)))"
+            rows = timetravel.attachments_on_row(
+                self.connection, canonical, rowid, canonical_column, as_of
             )
-            params.extend([rowid, rowid])
-        if canonical_column is not None:
-            clauses.append("(target_column = ? OR target_column IS NULL)")
-            params.append(canonical_column)
-        rows = self.connection.execute(
-            "SELECT " + _ATTACHMENT_COLUMNS + " FROM _nebula_attachments "
-            f"WHERE {' AND '.join(clauses)} ORDER BY attachment_id",
-            params,
-        ).fetchall()
+        else:
+            rows = timetravel.attachments_on_table(
+                self.connection, canonical, canonical_column, as_of
+            )
         return [_row_to_attachment(r) for r in rows]
 
     def true_attachment_rows(

@@ -257,15 +257,13 @@ class Nebula:
         restored from the commit log (both in a service recovery).
 
         Rebuilds the ACG in place (the verification queue shares it),
-        reloads the hop profile, drops the triage focal of every
-        annotation the database no longer holds, and clears the analysis
-        cache, whose ``acg.as_of`` entries are keyed by commit ids the
-        rollback freed for reuse.  The stability tracker lives only in
-        memory, so its window keeps what it counted.
+        reloads the hop profile, and clears the analysis cache, whose
+        ``acg.as_of`` entries are keyed by commit ids the rollback freed
+        for reuse.  The stability tracker lives only in memory, so its
+        window keeps what it counted.
         """
         self.acg.adopt(self._build_acg())
         self.profile.reload()
-        self.queue.forget_missing()
         self.analysis_cache.clear()
 
     def ensure_index_fresh(self) -> bool:
@@ -850,9 +848,9 @@ class Nebula:
 
         The SAVEPOINT rollback restores the database (annotation rows,
         attachments, verification tasks, the hop-profile table); the
-        in-memory ACG, hop profile, and triage bookkeeping are restored
-        to match.  The stability tracker records a call only at the
-        SAVEPOINT's release, so a failure here leaves it untouched.  That
+        in-memory ACG and hop profile are restored to match.  The
+        stability tracker records a call only at the SAVEPOINT's
+        release, so a failure here leaves it untouched.  That
         release is the outer commit only when no transaction encloses the
         call: under the service's ``BEGIN``, a commit lost after the
         release leaves the tracker ahead of the database, and nothing
@@ -863,7 +861,6 @@ class Nebula:
         self.profile.reload()
         for annotation in inserted:
             self.acg.remove_annotation(annotation.annotation_id)
-            self.queue.forget(annotation.annotation_id)
 
     def reprocess_dead_letters(self) -> List[DiscoveryReport]:
         """Drain the dead-letter queue by re-running the full pipeline.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..annotations.engine import AnnotationManager
 from ..errors import UnknownVerificationTaskError, VerificationError
@@ -71,8 +71,6 @@ class VerificationQueue:
         self.acg = acg
         self.profile = profile
         self.connection: Connection = manager.connection
-        #: Focal of each triaged annotation — needed for profile updates.
-        self._focal_of: Dict[int, Tuple[TupleRef, ...]] = {}
 
     # ------------------------------------------------------------------
     # Triage
@@ -94,7 +92,6 @@ class VerificationQueue:
         if not 0.0 <= beta_lower <= beta_upper <= 1.0:
             raise VerificationError("bounds must satisfy 0 <= lower <= upper <= 1")
         focal = tuple(focal) or self.manager.focal_of(annotation_id)
-        self._focal_of[annotation_id] = focal
         focal_set = set(focal)
         tasks: List[VerificationTask] = []
         for candidate in candidates:
@@ -108,7 +105,7 @@ class VerificationQueue:
                 decision = Decision.PENDING
             task = self._insert_task(annotation_id, candidate, decision)
             if decision is Decision.AUTO_ACCEPTED:
-                self._accept(task)
+                self._accept(task, focal)
             elif decision is Decision.PENDING:
                 self.manager.attach_predicted(
                     annotation_id,
@@ -157,7 +154,7 @@ class VerificationQueue:
         task = self._load_pending(task_id)
         with self.manager.store.versioning.scope("verify", note=f"task:{task_id}"):
             resolved = self._set_status(task, Decision.VERIFIED)
-            self._accept(resolved)
+            self._accept(resolved, self._triage_focal(task.annotation_id))
         return resolved
 
     def reject(self, task_id: int) -> VerificationTask:
@@ -174,32 +171,6 @@ class VerificationQueue:
                     self.manager.discard_attachment(attachment.attachment_id)
         return resolved
 
-    def forget(self, annotation_id: int) -> None:
-        """Drop the in-memory triage bookkeeping of one annotation.
-
-        Called by the pipeline's fault boundary when an ingestion rolls
-        back: the persisted task rows vanish with the SAVEPOINT, and this
-        keeps the focal cache consistent with them.
-        """
-        self._focal_of.pop(annotation_id, None)
-
-    def forget_missing(self) -> None:
-        """Drop the focal of every annotation the database no longer
-        holds (a rollback outside the pipeline discarded it).
-
-        The focal of a stored annotation stays: :meth:`verify` measures
-        hops from the triage-time focal, not from the annotation's true
-        attachments, which by then include its auto-accepted edges.
-        """
-        held = {
-            row[0]
-            for row in self.connection.execute(
-                "SELECT annotation_id FROM _nebula_annotations"
-            )
-        }
-        for annotation_id in [a for a in self._focal_of if a not in held]:
-            del self._focal_of[annotation_id]
-
     def pending(self, annotation_id: Optional[int] = None) -> List[VerificationTask]:
         """Pending tasks, optionally for one annotation."""
         sql = (
@@ -214,6 +185,8 @@ class VerificationQueue:
         return [_row_to_task(r) for r in self.connection.execute(sql, params)]
 
     def tasks_of(self, annotation_id: int) -> List[VerificationTask]:
+        """Every task of one annotation, oldest first, searched through
+        ``_nebula_verification_tasks_by_annotation``."""
         rows = self.connection.execute(
             "SELECT task_id, annotation_id, target_table, target_rowid, "
             "confidence, evidence, status FROM _nebula_verification_tasks "
@@ -226,10 +199,21 @@ class VerificationQueue:
     # Acceptance side effects (paper §7: the transparent action sequence)
     # ------------------------------------------------------------------
 
-    def _accept(self, task: VerificationTask) -> None:
-        focal = self._focal_of.get(task.annotation_id) or self.manager.focal_of(
-            task.annotation_id
+    def _triage_focal(self, annotation_id: int) -> Tuple[TupleRef, ...]:
+        """The focal triage measured from, derived from the store.
+
+        Triage skips focal candidates and every accepted task became a
+        true edge, so the focal is the annotation's true row edges less
+        the targets of its accepted tasks.  A true edge attached by hand
+        after ingestion counts (Definition 3.5: the manually attached
+        tuples).
+        """
+        accepted = {t.ref for t in self.tasks_of(annotation_id) if t.decision.is_accepted}
+        return tuple(
+            ref for ref in self.manager.focal_of(annotation_id) if ref not in accepted
         )
+
+    def _accept(self, task: VerificationTask, focal: Sequence[TupleRef]) -> None:
         # (3) profile update first: hops measured before the new edges.
         if self.profile is not None and self.acg is not None and focal:
             self.profile.record(self.acg.shortest_hops(task.ref, focal))

@@ -124,8 +124,6 @@ class BioDatabase:
     #: The backend holding the data; None when the caller passed only a
     #: connection (the caller then owns the database).
     backend: Optional[SqliteFileBackend] = None
-    _gene_by_key: Dict[str, GeneRecord] = field(default_factory=dict)
-    _protein_by_key: Dict[str, ProteinRecord] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
 
@@ -146,15 +144,6 @@ class BioDatabase:
                 seen.add(ref)
                 ordered.append(ref)
         return tuple(ordered)
-
-    def gene_record(self, gid: str) -> GeneRecord:
-        return self._gene_by_key[gid]
-
-    def protein_record(self, pid: str) -> ProteinRecord:
-        return self._protein_by_key[pid]
-
-    def community_of_gene(self, index: int) -> int:
-        return index // self.spec.community_size
 
     def community_count(self) -> int:
         return max(1, (len(self.genes) + self.spec.community_size - 1) // self.spec.community_size)
@@ -240,8 +229,6 @@ def generate_bio_database(
         manager=manager,
         meta=meta,
         backend=backend,
-        _gene_by_key={g.gid: g for g in genes},
-        _protein_by_key={p.pid: p for p in proteins},
     )
     _generate_publications(database, synthesizer, rng)
     connection.commit()

@@ -50,10 +50,6 @@ class Configuration:
             m for _, m in self.assignments if m is not None and m.kind is not MappingKind.VALUE
         )
 
-    @property
-    def mapped_count(self) -> int:
-        return sum(1 for _, m in self.assignments if m is not None)
-
     def describe(self) -> str:
         """Compact human-readable form, used in evidence strings."""
         parts = []

@@ -864,26 +864,15 @@ class AnnotationService:
     def annotations_for(
         self, table: str, rowid: int, as_of: Optional[int] = None
     ) -> List[Tuple[int, str, float, str]]:
-        """Annotations attached to one tuple: (id, content, confidence,
-        kind), strongest first.  ``as_of`` pins the read to a commit."""
-        if as_of is None:
-            sql = (
-                "SELECT a.annotation_id, a.content, t.confidence, t.kind "
-                "FROM _nebula_annotations a "
-                "JOIN _nebula_attachments t "
-                "ON t.annotation_id = a.annotation_id "
-                "WHERE t.target_table = ? AND t.target_rowid = ? "
-                "ORDER BY t.confidence DESC, a.annotation_id"
-            )
-            params: Union[Tuple, Dict[str, object]] = (table, int(rowid))
-        else:
-            sql = timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF
-            params = {"pin": int(as_of), "table": table, "rowid": int(rowid)}
+        """Annotations that apply to one tuple: (id, content, confidence,
+        kind) for each of its exact, cell, column-level, table-level and
+        covering-range edges, strongest first.  ``as_of`` pins the read
+        to a commit."""
+        pin = None if as_of is None else int(as_of)
         return self._read(
-            lambda connection: [
-                (int(row[0]), str(row[1]), float(row[2]), str(row[3]))
-                for row in connection.execute(sql, params)
-            ]
+            lambda connection: timetravel.annotations_on_row(
+                connection, table, int(rowid), pin
+            )
         )
 
     def pending_verifications(

@@ -25,6 +25,9 @@ The chain so far:
 0003    persistent-index        the search-index tables (postings + stats)
 0004    operational-tables      dead letters, verification tasks, hop profile,
                                 annotation rules
+0005    read-indexes            partial indexes of the range edges on the
+                                head and history attachment tables; the
+                                verification tasks by annotation
 ======  ======================  =============================================
 
 Components assume the chain has run: none of them creates or alters a
@@ -152,6 +155,24 @@ _DEAD_LETTER_COLUMNS: Tuple[Tuple[str, str], ...] = (
 )
 
 
+#: The range edges of each attachment table, keyed like ``…_by_target``:
+#: the covering-range arm of a row's edges searches them
+#: (:mod:`repro.versioning.timetravel`).  Both stay empty while no range
+#: edge exists.  An expert ``verify`` reads the annotation's tasks to
+#: derive its triage focal (:mod:`repro.core.verification`) through
+#: ``…_by_annotation``.
+_READ_INDEX_DDL = """
+CREATE INDEX IF NOT EXISTS _nebula_attachments_by_range
+    ON _nebula_attachments (target_table, target_rowid)
+    WHERE target_rowid_hi IS NOT NULL;
+CREATE INDEX IF NOT EXISTS _nebula_attachment_history_by_range
+    ON _nebula_attachment_history (target_table, target_rowid)
+    WHERE target_rowid_hi IS NOT NULL;
+CREATE INDEX IF NOT EXISTS _nebula_verification_tasks_by_annotation
+    ON _nebula_verification_tasks (annotation_id);
+"""
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -265,6 +286,18 @@ def _downgrade_operational_tables(connection: Connection) -> None:
     trip stays lossless for them."""
 
 
+def _upgrade_read_indexes(connection: Connection) -> None:
+    connection.executescript(_READ_INDEX_DDL)
+
+
+def _downgrade_read_indexes(connection: Connection) -> None:
+    connection.executescript(
+        "DROP INDEX IF EXISTS _nebula_attachments_by_range;\n"
+        "DROP INDEX IF EXISTS _nebula_attachment_history_by_range;\n"
+        "DROP INDEX IF EXISTS _nebula_verification_tasks_by_annotation;"
+    )
+
+
 #: The full ordered chain every database is kept on.
 MIGRATIONS: Tuple[Migration, ...] = (
     Migration(
@@ -290,6 +323,12 @@ MIGRATIONS: Tuple[Migration, ...] = (
         name="operational-tables",
         upgrade=_upgrade_operational_tables,
         downgrade=_downgrade_operational_tables,
+    ),
+    Migration(
+        revision="0005",
+        name="read-indexes",
+        upgrade=_upgrade_read_indexes,
+        downgrade=_downgrade_read_indexes,
     ),
 )
 

@@ -31,7 +31,8 @@ compares each entity's latest version with its head row by id.  The
 whole-state ``as_of`` reads in :mod:`repro.versioning.timetravel` are
 the same query with a ``commit_id <= ?`` pin; the entity-addressed ones
 (one annotation, one tuple, one row's edges) search the history through
-``_nebula_attachment_history_by_target`` and the two ``…_by_entity``
+``_nebula_attachment_history_by_target``, the partial
+``…_by_range`` index of revision 0005 and the two ``…_by_entity``
 indexes instead, so their cost follows the entity's history, not the
 log's.
 """

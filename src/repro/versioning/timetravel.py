@@ -13,18 +13,17 @@ on.
 The statements come in two forms:
 
 * **Entity-addressed reads** — one annotation, one annotation's edges,
-  the edges on one row, a tuple's annotations, and the pending tasks —
-  work from the requested entity.  Every history row matching the key
-  is a candidate, and a candidate is kept when it is its entity's
-  visible version: ``history_id = (SELECT MAX(history_id) ... WHERE
-  <id> = h.<id> AND commit_id <= :pin)``, found through the
-  ``…_by_entity`` index.  The key itself comes through
-  ``_nebula_attachment_history_by_target`` or the entity id, so the
-  read costs the entity's history, not the log's.  Two keys have no
-  index — an annotation's edges (no index leads with ``annotation_id``)
-  and range edges — and take one pass over the attachment history.
-  These statements bind their parameters by name (``:pin``, ``:table``,
-  ``:rowid``, …), so one value fills every slot.
+  the edges that apply to one row, a tuple's annotations, and the
+  pending tasks — work from the requested entity.  Every history row
+  matching the key is a candidate, and a candidate is kept when it is
+  its entity's visible version: ``history_id = (SELECT MAX(history_id)
+  ... WHERE <id> = h.<id> AND commit_id <= :pin)``, found through the
+  ``…_by_entity`` index.  The key itself comes through an index on the
+  target or the entity id, so the read costs the entity's history, not
+  the log's.  One key has no index — an annotation's edges (no index
+  leads with ``annotation_id``) — and takes one pass over the
+  attachment history.  These statements bind their parameters by name
+  (``:pin``, ``:table``, ``:rowid``, …), so one value fills every slot.
 * **Whole-state reads** — the counts, the full annotation listing, a
   whole-table attachment listing, the true pairs of the historical ACG,
   :func:`state_fingerprint` and the content search — read most of the
@@ -34,9 +33,15 @@ The statements come in two forms:
   form is also the reference the entity-addressed statements are
   tested against.
 
-The head-state queries live in :mod:`repro.annotations.store`;
+The edges that apply to a row — its exact edges, the table's rowless
+edges and the range edges covering it — are written once, here, in a
+head and a pinned form: :func:`attachments_on_row` (the store's row
+read) and :func:`annotations_on_row` (the service's tuple read).
+
+The other head-state queries live in :mod:`repro.annotations.store`;
 :class:`~repro.annotations.store.AnnotationStore` delegates to this
-module whenever a read carries ``as_of``.
+module for a row's or a table's edges and whenever a read carries
+``as_of``.
 """
 
 from __future__ import annotations
@@ -92,6 +97,10 @@ _ITER_ANNOTATIONS = (
 _COUNT_ANNOTATIONS = "SELECT COUNT(*) FROM " + ANNOTATIONS_AS_OF
 
 _ATTACHMENTS_ON_TABLE = (
+    "SELECT " + _ATTACHMENT_COLUMNS + " FROM _nebula_attachments WHERE target_table = ?"
+)
+
+_ATTACHMENTS_ON_TABLE_AS_OF = (
     "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + ATTACHMENTS_AS_OF + " "
     "WHERE target_table = ?"
 )
@@ -148,12 +157,6 @@ _H_ATTACHMENT_COLUMNS = (
     "h.target_rowid_hi, h.target_column, h.confidence, h.kind"
 )
 
-#: The head's column filter; a ``:column`` of NULL matches every edge.
-_COLUMN_MATCH = (
-    " AND (:column IS NULL OR h.target_column = :column "
-    "OR h.target_column IS NULL)"
-)
-
 _GET_ANNOTATION = (
     "SELECT " + _ANNOTATION_COLUMNS + " FROM _nebula_annotation_history "
     "WHERE history_id = " + _ANNOTATION_VERSION + ":annotation_id) "
@@ -170,44 +173,71 @@ _ATTACHMENTS_OF = (
     "ORDER BY h.attachment_id"
 )
 
-#: Row-filtered ``attachments_on``, the keys with an index: edges on
-#: exactly ``:rowid`` and table-level edges (``target_rowid IS NULL``,
-#: which apply to every row), both through
-#: ``_nebula_attachment_history_by_target``.
-_ATTACHMENTS_ON_ROW_KEYS = (
-    "SELECT " + _H_ATTACHMENT_COLUMNS + " FROM _nebula_attachment_history AS h "
-    "WHERE h.target_table = :table AND h.target_rowid = :rowid "
-    "AND h.target_rowid_hi IS NULL" + _VISIBLE_ATTACHMENT + _COLUMN_MATCH + " "
-    "UNION ALL "
-    "SELECT " + _H_ATTACHMENT_COLUMNS + " FROM _nebula_attachment_history AS h "
-    "WHERE h.target_table = :table AND h.target_rowid IS NULL"
-    + _VISIBLE_ATTACHMENT + _COLUMN_MATCH
-)
+# ----------------------------------------------------------------------
+# The edges that apply to a row (head and pinned forms)
+# ----------------------------------------------------------------------
 
-#: Row-filtered ``attachments_on``, range edges covering ``:rowid``.  No
-#: index covers a range, so this is one pass over the attachment history
-#: (a ``_by_target`` search on ``target_rowid <= :rowid`` would read every
-#: edge below the row through the index: three times the pass for a row
-#: past mid-table).
-_ATTACHMENTS_ON_ROW_RANGES = (
-    "SELECT " + _H_ATTACHMENT_COLUMNS + " "
-    "FROM _nebula_attachment_history AS h NOT INDEXED "
-    "WHERE h.target_rowid_hi IS NOT NULL AND h.target_table = :table "
+#: The three disjoint arms of "the edges that apply to row ``:rowid`` of
+#: ``:table``": the row's exact edges and the table's rowless edges
+#: (column- and table-level, which apply to every row), both through
+#: ``…_by_target``, and the range edges covering the row, through the
+#: partial ``…_by_range`` index (revision 0005).  SQLite flattens the
+#: arms into each reader below: one ``SEARCH`` per arm.
+_EXACT_ARM = (
+    "h.target_table = :table AND h.target_rowid = :rowid "
+    "AND h.target_rowid_hi IS NULL"
+)
+_ROWLESS_ARM = "h.target_table = :table AND h.target_rowid IS NULL"
+_COVERING_ARM = (
+    "h.target_table = :table AND h.target_rowid_hi IS NOT NULL "
     "AND h.target_rowid <= :rowid AND :rowid <= h.target_rowid_hi"
-    + _VISIBLE_ATTACHMENT + _COLUMN_MATCH
 )
 
-#: ``annotations_for(table, rowid, as_of)`` (service): params ``pin``,
-#: ``table``, ``rowid``.  Edges on the tuple through ``_by_target``,
-#: then each edge's annotation at its visible version.
-ANNOTATIONS_FOR_TUPLE_AS_OF = (
-    "SELECT a.annotation_id, a.content, h.confidence, h.kind "
-    "FROM _nebula_attachment_history AS h "
-    "JOIN _nebula_annotation_history AS a "
-    "ON a.history_id = " + _ANNOTATION_VERSION + "h.annotation_id) "
-    "WHERE h.target_table = :table AND h.target_rowid = :rowid"
-    + _VISIBLE_ATTACHMENT + " AND a.op <> 'delete' "
-    "ORDER BY h.confidence DESC, a.annotation_id"
+_HEAD_ARM = "SELECT " + _H_ATTACHMENT_COLUMNS + " FROM _nebula_attachments AS h WHERE "
+_PINNED_ARM = (
+    "SELECT " + _H_ATTACHMENT_COLUMNS + " FROM _nebula_attachment_history AS h WHERE "
+)
+
+#: The head form: the row's edges in ``_nebula_attachments``.
+_ROW_EDGES = (
+    "(" + _HEAD_ARM + _EXACT_ARM
+    + " UNION ALL " + _HEAD_ARM + _ROWLESS_ARM
+    + " UNION ALL " + _HEAD_ARM + _COVERING_ARM + ")"
+)
+
+#: The pinned form: each arm's edges visible at ``:pin``.
+_ROW_EDGES_AS_OF = (
+    "(" + _PINNED_ARM + _EXACT_ARM + _VISIBLE_ATTACHMENT
+    + " UNION ALL " + _PINNED_ARM + _ROWLESS_ARM + _VISIBLE_ATTACHMENT
+    + " UNION ALL " + _PINNED_ARM + _COVERING_ARM + _VISIBLE_ATTACHMENT + ")"
+)
+
+#: The store's row read after its ``FROM`` form: the edges on column
+#: ``:column`` and the column-less ones (a NULL ``:column`` keeps all).
+_ROW_READ = (
+    " AS f WHERE :column IS NULL OR f.target_column = :column "
+    "OR f.target_column IS NULL ORDER BY f.attachment_id"
+)
+_ROW_ATTACHMENTS = "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + _ROW_EDGES + _ROW_READ
+_ROW_ATTACHMENTS_AS_OF = (
+    "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + _ROW_EDGES_AS_OF + _ROW_READ
+)
+
+#: The service's tuple read: each edge with its annotation, strongest
+#: first; ``attachment_id`` orders the ties.  Every ``ORDER BY`` key is
+#: a result column, which lets SQLite flatten the arms into the join.
+_TUPLE_READ = (
+    "SELECT a.annotation_id, a.content, f.confidence, f.kind, f.attachment_id FROM "
+)
+_TUPLE_ORDER = " ORDER BY f.confidence DESC, a.annotation_id, f.attachment_id"
+_TUPLE_ANNOTATIONS = (
+    _TUPLE_READ + _ROW_EDGES + " AS f JOIN _nebula_annotations AS a "
+    "ON a.annotation_id = f.annotation_id" + _TUPLE_ORDER
+)
+_TUPLE_ANNOTATIONS_AS_OF = (
+    _TUPLE_READ + _ROW_EDGES_AS_OF + " AS f JOIN _nebula_annotation_history AS a "
+    "ON a.history_id = " + _ANNOTATION_VERSION + "f.annotation_id) "
+    "AND a.op <> 'delete'" + _TUPLE_ORDER
 )
 
 #: ``pending_verifications(limit, as_of)`` (service): params ``pin``,
@@ -269,32 +299,53 @@ def attachments_of_rows(
     ).fetchall()
 
 
-def attachments_on_rows(
+def attachments_on_table(
     connection: Connection,
     table: str,
-    as_of: int,
-    rowid: Optional[int] = None,
     column: Optional[str] = None,
+    as_of: Optional[int] = None,
 ) -> List[Sequence]:
-    """Attachment rows touching a target, visible at ``as_of``.
+    """Attachment rows on a whole table, in ``attachment_id`` order, at
+    the head or visible at ``as_of`` (the view form); ``column`` keeps
+    the edges on that column and the column-less ones."""
+    sql = _ATTACHMENTS_ON_TABLE if as_of is None else _ATTACHMENTS_ON_TABLE_AS_OF
+    params: List[object] = [table] if as_of is None else [as_of, table]
+    if column is not None:
+        sql += _COLUMN_FILTER
+        params.append(column)
+    return connection.execute(sql + _ORDER_BY_ATTACHMENT, params).fetchall()
 
-    Matches the head query's semantics: row-level queries also return
-    column- and table-level attachments (they apply to every row).  A
-    row-level query reads the indexed keys and the range edges in two
-    statements whose rows are disjoint; a whole-table listing keeps the
-    view form.
+
+def attachments_on_row(
+    connection: Connection,
+    table: str,
+    rowid: int,
+    column: Optional[str] = None,
+    as_of: Optional[int] = None,
+) -> List[Sequence]:
+    """Attachment rows of the edges that apply to one row, in
+    ``attachment_id`` order, at the head or visible at ``as_of``.
+
+    ``column`` keeps the edges on that column and the column-less ones.
     """
-    if rowid is None:
-        sql = _ATTACHMENTS_ON_TABLE
-        params: List[object] = [as_of, table]
-        if column is not None:
-            sql += _COLUMN_FILTER
-            params.append(column)
-        return connection.execute(sql + _ORDER_BY_ATTACHMENT, params).fetchall()
-    named = {"pin": as_of, "table": table, "rowid": rowid, "column": column}
-    rows = connection.execute(_ATTACHMENTS_ON_ROW_KEYS, named).fetchall()
-    rows += connection.execute(_ATTACHMENTS_ON_ROW_RANGES, named).fetchall()
-    return sorted(rows, key=lambda row: row[0])
+    return connection.execute(
+        _ROW_ATTACHMENTS if as_of is None else _ROW_ATTACHMENTS_AS_OF,
+        {"pin": as_of, "table": table, "rowid": rowid, "column": column},
+    ).fetchall()
+
+
+def annotations_on_row(
+    connection: Connection, table: str, rowid: int, as_of: Optional[int] = None
+) -> List[Tuple[int, str, float, str]]:
+    """``(annotation_id, content, confidence, kind)`` of each edge that
+    applies to one row, strongest first, at the head or at ``as_of``."""
+    return [
+        (int(row[0]), str(row[1]), float(row[2]), str(row[3]))
+        for row in connection.execute(
+            _TUPLE_ANNOTATIONS if as_of is None else _TUPLE_ANNOTATIONS_AS_OF,
+            {"pin": as_of, "table": table, "rowid": rowid},
+        )
+    ]
 
 
 def true_pair_rows(connection: Connection, as_of: int) -> List[Sequence]:

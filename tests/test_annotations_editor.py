@@ -97,6 +97,21 @@ class TestDelete:
             "SELECT COUNT(*) FROM Gene WHERE rowid = 2"
         ).fetchone()[0] == 0
 
+    def test_delete_keeps_range_and_table_edges(self, world):
+        connection, manager, index, rules, editor = world
+        ranged = manager.add_annotation("rows 3-6")
+        manager.attach_range(ranged.annotation_id, "Gene", 3, 6)
+        whole = manager.add_annotation("the whole table")
+        manager.attach_true(whole.annotation_id, CellRef("Gene", None))
+        own = manager.add_annotation("row 3", attach_to=[CellRef("Gene", 3)])
+        assert editor.delete(TupleRef("Gene", 3)) == 1
+        assert manager.focal_of(own.annotation_id) == ()
+        # The range still applies to the rows that are present.
+        assert [
+            a.annotation_id for a in manager.annotations_of_tuple(TupleRef("Gene", 5))
+        ] == [ranged.annotation_id, whole.annotation_id]
+        assert [r.rowid for _, r in manager.store.true_attachment_pairs()] == [4, 5, 6]
+
     def test_delete_refuses_with_pending_predictions(self, world):
         connection, manager, index, rules, editor = world
         note = manager.add_annotation("note", attach_to=[CellRef("Gene", 1)])

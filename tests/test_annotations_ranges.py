@@ -23,10 +23,9 @@ class TestAttachRange:
         attachment = manager.attach_range(note.annotation_id, "Gene", 2, 5)
         assert attachment.is_range
         assert manager.store.count_attachments() == 1
-        for rowid in (2, 3, 4, 5):
-            assert attachment.covers(rowid)
-        assert not attachment.covers(1)
-        assert not attachment.covers(6)
+        for rowid in range(1, 7):
+            covering = [] if rowid in (1, 6) else [attachment]
+            assert manager.store.attachments_on("Gene", rowid) == covering
 
     def test_range_has_no_single_tuple_ref(self, manager):
         note = manager.add_annotation("rows 2-5")

@@ -11,8 +11,7 @@ from repro.types import CellRef, ScoredTuple, TupleRef
 from conftest import build_figure1_connection
 
 
-@pytest.fixture
-def world():
+def _world():
     connection = build_figure1_connection()
     manager = AnnotationManager(connection)
     acg = AnnotationsConnectivityGraph()
@@ -24,6 +23,11 @@ def world():
     acg.add_attachment(77, TupleRef("Gene", 1))
     acg.add_attachment(77, TupleRef("Gene", 2))
     return manager, acg, profile, queue, annotation
+
+
+@pytest.fixture
+def world():
+    return _world()
 
 
 def _candidates():
@@ -117,6 +121,56 @@ class TestExpertResolution:
         assert TupleRef("Gene", 3) in manager.focal_of(annotation.annotation_id)
         assert queue.pending(annotation.annotation_id) == []
 
+    def test_verify_after_a_reopen_records_the_continuous_hop(self):
+        # Gene#3 is two hops from the focal Gene#1 and one from Gene#2,
+        # which triage auto-accepts: a verify measures from the focal
+        # triage saw, in the process that triaged or in a new one.
+        recorded = []
+        for reopen in (False, True):
+            manager, acg, profile, queue, annotation = _world()
+            acg.add_attachment(78, TupleRef("Gene", 2))
+            acg.add_attachment(78, TupleRef("Gene", 3))
+            tasks = queue.triage(annotation.annotation_id, _candidates(), 0.32, 0.86)
+            pending = next(t for t in tasks if t.decision is Decision.PENDING)
+            after_triage = dict(profile.buckets)
+            if reopen:
+                queue = VerificationQueue(manager, acg=acg, profile=profile)
+            queue.verify(pending.task_id)
+            recorded.append(
+                {h: n - after_triage.get(h, 0) for h, n in profile.buckets.items()
+                 if n != after_triage.get(h, 0)}
+            )
+        assert recorded == [{2: 1}, {2: 1}]
+
+    def test_true_edge_attached_by_hand_counts_as_focal(self, world):
+        # Definition 3.5: the focal is the manually attached tuples, also
+        # those attached after ingestion.  Gene#3 reaches only Gene#4.
+        manager, acg, profile, queue, annotation = world
+        acg.add_attachment(79, TupleRef("Gene", 3))
+        acg.add_attachment(79, TupleRef("Gene", 4))
+        (task,) = queue.triage(
+            annotation.annotation_id,
+            [ScoredTuple(TupleRef("Gene", 3), 0.60, ())],
+            0.32,
+            0.86,
+        )
+        manager.attach_true(annotation.annotation_id, CellRef("Gene", 4))
+        queue.verify(task.task_id)
+        assert (profile.buckets, profile.unreachable) == ({1: 1}, 0)
+
+    def test_annotation_without_focal_records_no_hop(self, world):
+        manager, acg, profile, queue, _ = world
+        bare = manager.add_annotation("no focal")
+        tasks = queue.triage(
+            bare.annotation_id,
+            [ScoredTuple(TupleRef("Gene", 2), 0.95, ()),
+             ScoredTuple(TupleRef("Gene", 1), 0.95, ())],
+            0.32,
+            0.86,
+        )
+        assert all(t.decision is Decision.AUTO_ACCEPTED for t in tasks)
+        assert profile.total == 0
+
     def test_reject_discards(self, world):
         manager, acg, profile, queue, annotation = world
         tasks = queue.triage(annotation.annotation_id, _candidates(), 0.32, 0.86)
@@ -152,6 +206,29 @@ class TestExpertResolution:
         assert {t.decision for t in tasks} == {
             Decision.AUTO_ACCEPTED, Decision.PENDING, Decision.AUTO_REJECTED,
         }
+
+    def test_verify_searches_the_annotations_tasks(self, world):
+        # A verify derives its focal from the annotation's tasks: the read
+        # costs that annotation's tasks, not the task table's.
+        manager, acg, profile, queue, annotation = world
+        tasks = queue.triage(annotation.annotation_id, _candidates(), 0.32, 0.86)
+        pending = next(t for t in tasks if t.decision is Decision.PENDING)
+        connection = manager.store.connection
+        statements = []
+        connection.set_trace_callback(statements.append)
+        try:
+            queue.verify(pending.task_id)
+        finally:
+            connection.set_trace_callback(None)
+        (read,) = [
+            s for s in statements
+            if "FROM _nebula_verification_tasks WHERE annotation_id" in s
+        ]
+        lines = [str(row[3]) for row in connection.execute("EXPLAIN QUERY PLAN " + read)]
+        assert lines == [
+            "SEARCH _nebula_verification_tasks USING INDEX "
+            "_nebula_verification_tasks_by_annotation (annotation_id=?)"
+        ]
 
 
 class TestDecision:

@@ -28,6 +28,7 @@ from repro.observability import MetricsRegistry, set_metrics
 from repro.resilience import SERVICE_SHED
 from repro.storage import SqliteFileBackend
 from repro.storage.compat import OperationalError
+from repro.types import CellRef
 
 
 @pytest.fixture()
@@ -417,6 +418,41 @@ class TestReadEndpoints:
             assert 0.0 <= confidence <= 1.0
             assert rowid >= 1
         service.stop()
+
+
+    def test_annotations_for_returns_every_edge_that_applies(
+        self, figure1_backend, figure1_meta
+    ):
+        # A range over rows 3-6, a table-level and a column-level edge
+        # apply to rows 3 and 4, at a pin and, once the table-level edge
+        # is detached, at the head: as the store's row read says.
+        nebula = Nebula(figure1_backend, figure1_meta, NebulaConfig(epsilon=0.6))
+        manager = nebula.manager
+        ranged = manager.add_annotation("rows 3-6")
+        manager.attach_range(ranged.annotation_id, "Gene", 3, 6)
+        whole = manager.add_annotation("the whole table")
+        table_edge = manager.attach_true(whole.annotation_id, CellRef("Gene", None))
+        family = manager.add_annotation("the family column")
+        manager.attach_true(family.annotation_id, CellRef("Gene", None, "Family"))
+        nebula.connection.commit()
+        pin = nebula.head_commit()
+        manager.store.detach(table_edge.attachment_id)
+        nebula.connection.commit()
+        service = make_service(nebula)
+        expected = [
+            (note.annotation_id, note.content, 1.0, "true")
+            for note in (ranged, whole, family)
+        ]
+        for rowid in (3, 4):
+            assert service.annotations_for("Gene", rowid, as_of=pin) == expected
+            assert [
+                row[0] for row in service.annotations_for("Gene", rowid)
+            ] == [ranged.annotation_id, family.annotation_id]
+            assert [
+                a.annotation_id
+                for a in manager.store.attachments_on("Gene", rowid, as_of=pin)
+            ] == [row[0] for row in expected]
+        assert service.annotations_for("Gene", 7, as_of=pin) == expected[1:]
 
 
 class TestWritesBesideReader:

@@ -210,7 +210,6 @@ class TestMidBatchCrash:
         doomed = {committed.annotation_id + 1 + i for i in range(3)}
         assert doomed <= set(nebula.acg._tuples_of)
         assert all(len(nebula.acg._tuples_of[a]) > 1 for a in doomed)
-        assert doomed <= set(nebula.queue._focal_of)
         crashed_hops = nebula.profile.total
 
         revived = AnnotationService(
@@ -224,9 +223,6 @@ class TestMidBatchCrash:
         assert nebula.queue.acg is nebula.acg
         assert nebula.profile == PersistentHopProfile(nebula.connection)
         assert nebula.profile.total < crashed_hops
-        assert doomed.isdisjoint(nebula.queue._focal_of)
-        # A stored annotation keeps its triage-time focal for verify().
-        assert committed.annotation_id in nebula.queue._focal_of
         assert revived.stop() is True
 
     def test_recovery_replays_dead_letters_exactly_once(self, world, faults):

@@ -277,18 +277,18 @@ class TestVersioningCli:
         capsys.readouterr()
         assert main(["migrate", "status", "--db", seeded_db]) == 0
         out = capsys.readouterr().out
-        assert "current revision: 0004" in out
+        assert "current revision: 0005" in out
 
         assert main(["migrate", "down", "--db", seeded_db]) == 0
-        assert "reverted 0004, 0003, 0002" in capsys.readouterr().out
+        assert "reverted 0005, 0004, 0003, 0002" in capsys.readouterr().out
 
         # status now reports pending work via the exit code.
         assert main(["migrate", "status", "--db", seeded_db]) == 1
         out = capsys.readouterr().out
-        assert all(f"pending {r}" in out for r in ("0002", "0003", "0004"))
+        assert all(f"pending {r}" in out for r in ("0002", "0003", "0004", "0005"))
 
         assert main(["migrate", "up", "--db", seeded_db]) == 0
-        assert "now at 0004" in capsys.readouterr().out
+        assert "now at 0005" in capsys.readouterr().out
 
         # The annotation survived the roundtrip, history rebuilt from head.
         assert main(["history", "--db", seeded_db, "1"]) == 0

@@ -46,7 +46,7 @@ from repro.versioning import (
 )
 from repro.versioning.schema import LEGACY_DDL
 
-from conftest import build_figure1_connection
+from conftest import build_figure1_connection, build_figure1_meta
 
 
 @pytest.fixture
@@ -549,15 +549,6 @@ class TestHeadParity:
 # Time travel: the core property
 # ----------------------------------------------------------------------
 
-#: The service's head tuple read (``AnnotationService.annotations_for``).
-_HEAD_TUPLE_READ = (
-    "SELECT a.annotation_id, a.content, t.confidence, t.kind "
-    "FROM _nebula_annotations a JOIN _nebula_attachments t "
-    "ON t.annotation_id = a.annotation_id "
-    "WHERE t.target_table = ? AND t.target_rowid = ? "
-    "ORDER BY t.confidence DESC, a.annotation_id"
-)
-
 _ATTACHMENT_COLUMNS = (
     "attachment_id, annotation_id, target_table, target_rowid, "
     "target_rowid_hi, target_column, confidence, kind"
@@ -573,10 +564,15 @@ _REFERENCE_ATTACHMENTS_OF = (
     "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + timetravel.ATTACHMENTS_AS_OF
     + " WHERE annotation_id = ? ORDER BY attachment_id"
 )
+#: The edges that apply to a row: rowless edges, and the edges whose
+#: row or range covers it.
+_COVERS_ROW = (
+    "(target_rowid IS NULL OR (target_rowid <= ? "
+    "AND ? <= COALESCE(target_rowid_hi, target_rowid)))"
+)
 _REFERENCE_ATTACHMENTS_ON_ROW = (
     "SELECT " + _ATTACHMENT_COLUMNS + " FROM " + timetravel.ATTACHMENTS_AS_OF
-    + " WHERE target_table = ? AND (target_rowid IS NULL OR (target_rowid <= ? "
-    "AND ? <= COALESCE(target_rowid_hi, target_rowid))) "
+    + " WHERE target_table = ? AND " + _COVERS_ROW + " "
     "AND (? IS NULL OR target_column = ? OR target_column IS NULL) "
     "ORDER BY attachment_id"
 )
@@ -585,8 +581,8 @@ _REFERENCE_TUPLE_READ = (
     "FROM " + timetravel.ANNOTATIONS_AS_OF + " AS a "
     "JOIN " + timetravel.ATTACHMENTS_AS_OF + " AS t "
     "ON t.annotation_id = a.annotation_id "
-    "WHERE t.target_table = ? AND t.target_rowid = ? "
-    "ORDER BY t.confidence DESC, a.annotation_id"
+    "WHERE t.target_table = ? AND " + _COVERS_ROW + " "
+    "ORDER BY t.confidence DESC, a.annotation_id, t.attachment_id"
 )
 _REFERENCE_PENDING_TASKS = (
     "SELECT task_id, annotation_id, target_table, target_rowid, confidence "
@@ -621,19 +617,10 @@ def _entity_reads(store, as_of=None):
         column = _COLUMNS[table]
         answers[table] = store.attachments_on(table, as_of=as_of)
         for rowid in range(1, rows + 1):
-            if as_of is None:
-                tuple_read = connection.execute(
-                    _HEAD_TUPLE_READ, (table, rowid)
-                ).fetchall()
-            else:
-                tuple_read = connection.execute(
-                    timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF,
-                    {"pin": as_of, "table": table, "rowid": rowid},
-                ).fetchall()
             answers[(table, rowid)] = (
                 store.attachments_on(table, rowid, as_of=as_of),
                 store.attachments_on(table, rowid, column, as_of=as_of),
-                tuple_read,
+                timetravel.annotations_on_row(connection, table, rowid, as_of),
             )
     return answers
 
@@ -673,17 +660,16 @@ def _assert_matches_view_form(connection, pin):
     for table, rows in _TABLE_ROWS:
         for rowid in range(1, rows + 1):
             for column in (None, _COLUMNS[table]):
-                assert timetravel.attachments_on_rows(
-                    connection, table, pin, rowid=rowid, column=column
+                assert timetravel.attachments_on_row(
+                    connection, table, rowid, column, pin
                 ) == connection.execute(
                     _REFERENCE_ATTACHMENTS_ON_ROW,
                     (pin, table, rowid, rowid, column, column),
                 ).fetchall(), (pin, table, rowid, column)
-            assert connection.execute(
-                timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF,
-                {"pin": pin, "table": table, "rowid": rowid},
-            ).fetchall() == connection.execute(
-                _REFERENCE_TUPLE_READ, (pin, pin, table, rowid)
+            assert timetravel.annotations_on_row(
+                connection, table, rowid, pin
+            ) == connection.execute(
+                _REFERENCE_TUPLE_READ, (pin, pin, table, rowid, rowid)
             ).fetchall()
     for limit in (-1, 3):
         assert connection.execute(
@@ -717,13 +703,17 @@ class TestTimeTravel:
         )
 
     def test_pinned_reads_search_the_requested_entity(self, store, log):
-        """A pinned read of one tuple, one annotation or one row's keyed
-        edges reaches the history through ``_by_target`` / ``_by_entity``
-        and never scans a history table, so its cost follows the entity's
-        history rather than the log's."""
+        """A pinned read of one annotation reaches the history through
+        ``_by_entity``; the edges that apply to a row are one statement
+        in either form of either reader (the store's row read, the
+        service's tuple read), and every one of its three arms searches
+        its key: ``_by_target`` for the exact and rowless arms, the
+        partial ``_by_range`` index for the covering ranges.  No table
+        is scanned, and only the ``ORDER BY`` sorts."""
         a = store.insert_annotation("pinned")
         store.attach(a.annotation_id, CellRef("Gene", 2))
         store.attach(a.annotation_id, CellRef("Gene", None))
+        store.attach_range(a.annotation_id, "Gene", 1, 4)
         pin = log.head()
         connection = store.connection
         params = {
@@ -751,31 +741,107 @@ class TestTimeTravel:
                 for row in connection.execute("EXPLAIN QUERY PLAN " + sql, params)
             ]
 
-        def assert_searches(sql, index):
-            lines = plan(sql)
-            assert any(
-                line.startswith("SEARCH") and index in line for line in lines
-            ), lines
-            assert not [line for line in lines if line.startswith("SCAN")], lines
-            return lines
-
         (annotation_read,) = traced(
             lambda: timetravel.get_annotation_row(connection, a.annotation_id, pin)
         )
-        assert_searches(annotation_read, "_nebula_annotation_history_by_entity")
-        # A row-filtered attachments_on reads its exact-row and table-level
-        # keys in one statement, then the range edges in a pass of their
-        # own: no index covers a range.
-        keyed, _range_pass = traced(
-            lambda: timetravel.attachments_on_rows(connection, "Gene", pin, rowid=2)
+        lines = plan(annotation_read)
+        assert any(
+            line.startswith("SEARCH") and "_nebula_annotation_history_by_entity" in line
+            for line in lines
+        ), lines
+        assert not [line for line in lines if line.startswith("SCAN")], lines
+
+        # At a pin every arm finds its edges' visible versions through
+        # ``…_by_entity`` (the versions of one entity, not every commit up
+        # to the pin), and the tuple read its annotations' versions too.
+        attachment_version = "_nebula_attachment_history_by_entity"
+        annotation_version = "_nebula_annotation_history_by_entity"
+        for as_of, table in ((None, "_nebula_attachments"),
+                             (pin, "_nebula_attachment_history")):
+            for read, versions in (
+                (lambda: timetravel.attachments_on_row(connection, "Gene", 2, None, as_of),
+                 [attachment_version]),
+                (lambda: timetravel.annotations_on_row(connection, "Gene", 2, as_of),
+                 [attachment_version, annotation_version]),
+            ):
+                (statement,) = traced(read)
+                lines = plan(statement)
+                assert not [line for line in lines if line.startswith("SCAN")], lines
+                sorts = [line for line in lines if "TEMP B-TREE" in line]
+                assert all(line == "USE TEMP B-TREE FOR ORDER BY" for line in sorts), lines
+                arms = [
+                    line for line in lines
+                    if line.startswith("SEARCH h USING INDEX " + table + "_by_")
+                ]
+                assert [line.split(" (")[0].rsplit("_by_", 1)[1] for line in arms] == [
+                    "target", "target", "range"
+                ], lines
+                searched = sorted(
+                    line.partition("INDEX ")[2].split(" ")[0] for line in lines
+                    if line.startswith("SEARCH _nebula_")
+                )
+                expected = [] if as_of is None else sorted(versions * len(arms))
+                assert searched == expected, lines
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(_STORE_OPS),
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+            ),
+            min_size=1,
+            max_size=14,
         )
-        lines = assert_searches(keyed, "_nebula_attachment_history_by_entity")
-        keys = [line for line in lines if "_nebula_attachment_history_by_target" in line]
-        assert len(keys) == 2, lines
-        assert_searches(
-            timetravel.ANNOTATIONS_FOR_TUPLE_AS_OF,
-            "_nebula_attachment_history_by_target",
-        )
+    )
+    def test_service_reads_what_the_store_reads(self, ops):
+        """Differential: after random store operations over exact, cell,
+        column-level, table-level and range edges, promotes and
+        detaches, the service's tuple read at the head and at every
+        commit equals the store's row read joined with content, in the
+        service's order; and the store's row read equals the view-form
+        coverage reference."""
+        backend = SqliteFileBackend.temporary()
+        try:
+            build_figure1_connection(backend.primary)
+            nebula = Nebula(backend, build_figure1_meta(), NebulaConfig(epsilon=0.6))
+            store = nebula.manager.store
+            connection = store.connection
+            pins = []
+            for op in ops:
+                _run_store_ops(store, [op])
+                connection.commit()
+                pins.append(store.versioning.head())
+            service = AnnotationService(nebula)
+            for as_of in [None, *dict.fromkeys(pins)]:
+                pin = pins[-1] if as_of is None else as_of
+                for table, rows in _TABLE_ROWS:
+                    for rowid in range(1, rows + 1):
+                        edges = store.attachments_on(table, rowid, as_of=as_of)
+                        assert [
+                            (a.attachment_id, a.annotation_id, a.table, a.rowid,
+                             a.rowid_hi, a.column, a.confidence, a.kind.value)
+                            for a in edges
+                        ] == connection.execute(
+                            _REFERENCE_ATTACHMENTS_ON_ROW,
+                            (pin, table, rowid, rowid, None, None),
+                        ).fetchall(), (as_of, table, rowid)
+                        ordered = sorted(
+                            edges,
+                            key=lambda a: (-a.confidence, a.annotation_id, a.attachment_id),
+                        )
+                        assert service.annotations_for(table, rowid, as_of=as_of) == [
+                            (
+                                a.annotation_id,
+                                store.get_annotation(a.annotation_id, as_of=as_of).content,
+                                a.confidence,
+                                a.kind.value,
+                            )
+                            for a in ordered
+                        ], (as_of, table, rowid)
+        finally:
+            backend.close()
 
     def test_every_commit_reproduces_historical_state(self, store, log):
         """The acceptance property: ``as_of=<every commit id>`` exactly
@@ -1054,14 +1120,16 @@ class TestMigrations:
         _seed_legacy(connection)
         runner = MigrationRunner(connection)
         assert runner.current_revision() == BASELINE_REVISION
-        assert [m.revision for m in runner.pending()] == ["0002", "0003", "0004"]
+        assert [m.revision for m in runner.pending()] == [
+            "0002", "0003", "0004", "0005",
+        ]
 
     def test_upgrade_backfills_history(self, storage_backend):
         connection = storage_backend.primary
         _seed_legacy(connection)
         runner = MigrationRunner(connection)
         applied = runner.upgrade()
-        assert applied == ["0002", "0003", "0004"]
+        assert applied == ["0002", "0003", "0004", "0005"]
         log = CommitLog(connection)
         # One migrate commit holds the backfill of every pre-existing row.
         commits = log.commits()
@@ -1111,12 +1179,14 @@ class TestMigrations:
         runner = MigrationRunner(connection)
         runner.upgrade()
         reverted = runner.downgrade()
-        assert reverted == ["0004", "0003", "0002"]
+        assert reverted == ["0005", "0004", "0003", "0002"]
         assert runner.current_revision() == BASELINE_REVISION
         names = {name for _, name in _schema_objects(connection)}
         assert "_nebula_commits" not in names
         assert "_nebula_annotation_history" not in names
         assert "_nebula_annotations_current" not in names
+        assert "_nebula_attachments_by_range" not in names
+        assert "_nebula_verification_tasks_by_annotation" not in names
         # The materialized head (the latest state) survives the downgrade.
         count = connection.execute(
             "SELECT COUNT(*) FROM _nebula_annotations"
@@ -1140,12 +1210,12 @@ class TestMigrations:
         runner = MigrationRunner(connection)
         assert runner.upgrade(target="0002") == ["0002"]
         assert runner.current_revision() == "0002"
-        assert [m.revision for m in runner.pending()] == ["0003", "0004"]
+        assert [m.revision for m in runner.pending()] == ["0003", "0004", "0005"]
 
     def test_fresh_database_has_operational_tables(self, storage_backend):
         connection = storage_backend.primary
         ensure_schema(connection)
-        assert MigrationRunner(connection).current_revision() == "0004"
+        assert MigrationRunner(connection).current_revision() == "0005"
         names = {name for _, name in _schema_objects(connection)}
         assert set(OPERATIONAL_TABLES) <= names
         assert all(rows == [] for rows in _operational_rows(connection).values())
@@ -1166,7 +1236,7 @@ class TestMigrations:
         manager = AnnotationManager(connection)  # the engine-open path
         runner = MigrationRunner(connection)
         assert [r.revision for r in runner.applied()] == [
-            "0001", "0002", "0003", "0004",
+            "0001", "0002", "0003", "0004", "0005",
         ]
         assert _operational_rows(connection) == before
         # Every component reads its rows back unchanged.
@@ -1189,7 +1259,7 @@ class TestMigrations:
         before = _operational_rows(connection)
         runner.downgrade()
         assert _operational_rows(connection) == before
-        assert runner.upgrade() == ["0002", "0003", "0004"]
+        assert runner.upgrade() == ["0002", "0003", "0004", "0005"]
         assert _operational_rows(connection) == before
 
     def test_unordered_chain_rejected(self, storage_backend):
